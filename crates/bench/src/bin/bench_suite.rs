@@ -2,7 +2,7 @@
 //!
 //! Times the transmission planner (cached link-state matrix vs the
 //! pre-refactor naive computation, on a dense and a sparse grid), the
-//! mobility link-state refresh (incremental row/column update vs a full
+//! mobility link-state refresh (incremental one-node update vs a full
 //! matrix rebuild — the incremental path must win, and the suite asserts
 //! it), a full live route-refresh pass (`LinkGraph` snapshot + per-flow
 //! min-ETX Dijkstra — the budget behind the `route_refresh` knob), event
@@ -180,8 +180,8 @@ fn planner_pair(side: usize, spacing: f64, reps: u64, benches: &mut Vec<Bench>) 
 }
 
 /// One node pacing across the campus-scale grid, applied either through
-/// `Medium::update_node_position` (the mobile runner's O(n) row/column
-/// refresh) or by rebuilding the whole n² matrix — the cost a mobility tick
+/// `Medium::update_node_position` (the mobile runner's O(n) refresh of the
+/// node's pairs) or by rebuilding the whole n² matrix — the cost a mobility tick
 /// would pay without the incremental path. Both sides visit the identical
 /// position sequence; the refreshed matrix is pinned bit-identical to the
 /// rebuilt one by `wmn_phy`'s test suite.
@@ -387,7 +387,7 @@ fn run_suite(profile: &Profile) -> Value {
     let sparse_speedup = planner_pair(16, 40.0, profile.sparse_reps, &mut benches);
 
     // 3. Link-state refresh for one moved node: the mobile runner's
-    //    incremental row/column path vs a full matrix rebuild. This is the
+    //    incremental per-node path vs a full matrix rebuild. This is the
     //    perf claim behind per-tick mobility on large placements, so the
     //    suite *asserts* the incremental path wins (O(n) vs O(n²) — a
     //    regression here means the fast path broke, not a noisy host).

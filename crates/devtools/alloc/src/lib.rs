@@ -1,10 +1,10 @@
 //! A counting global allocator for the bench suite.
 //!
-//! [`CountingAlloc`] wraps the system allocator and keeps four process-wide
-//! counters behind relaxed atomics: allocation calls, cumulative bytes
-//! requested, bytes currently live, and the high-water mark of live bytes.
+//! [`CountingAlloc`] wraps the system allocator and counts, per thread,
+//! allocation calls and cumulative bytes requested, and, for the whole
+//! process, bytes currently live and the high-water mark of live bytes.
 //! The accounting itself never allocates, so installing it cannot perturb
-//! what it measures beyond a few atomic adds per call.
+//! what it measures beyond a few counter adds per call.
 //!
 //! Counting is compiled in only with the `count` feature (the bench suite
 //! enables it; everyone else gets a zero-overhead passthrough), so linking
@@ -20,19 +20,17 @@
 //! println!("{} allocations, peak {} bytes", stats.allocs, stats.peak_bytes_in_use);
 //! ```
 //!
-//! The counters are process-wide: [`measure`] reports deltas, so it is only
-//! meaningful when nothing else allocates concurrently (the bench suite is
-//! single-threaded while measuring; the sharded-engine benches skip
-//! per-region accounting for exactly this reason).
+//! [`measure`] reports the calls and bytes of the calling thread only, so
+//! allocations made concurrently on other threads — a sibling test, the
+//! test harness, or worker threads the measured code spawns — are not
+//! counted. Its peak of live bytes is a process-wide high-water mark (live
+//! bytes are freed on whichever thread drops them), so it is exact only
+//! while nothing else allocates concurrently.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 #[cfg(feature = "count")]
 use std::sync::atomic::{AtomicU64, Ordering};
 
-#[cfg(feature = "count")]
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-#[cfg(feature = "count")]
-static BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
 #[cfg(feature = "count")]
 static BYTES_IN_USE: AtomicU64 = AtomicU64::new(0);
 #[cfg(feature = "count")]
@@ -51,6 +49,11 @@ thread_local! {
     /// `Cell<u8>` so reading it from inside the allocator never allocates
     /// (no lazy TLS init, no destructor registration).
     static CURRENT_PHASE: std::cell::Cell<u8> = const { std::cell::Cell::new(0) };
+    /// Allocation calls made on this thread (const-initialised like
+    /// `CURRENT_PHASE`, for the same reason).
+    static THREAD_ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Bytes requested by this thread's allocation calls.
+    static THREAD_BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// A [`System`]-backed allocator that counts calls and bytes when the
@@ -60,8 +63,8 @@ pub struct CountingAlloc;
 #[cfg(feature = "count")]
 fn on_alloc(bytes: usize) {
     let bytes = bytes as u64;
-    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-    BYTES_ALLOCATED.fetch_add(bytes, Ordering::Relaxed);
+    THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
+    THREAD_BYTES.with(|c| c.set(c.get() + bytes));
     let live = BYTES_IN_USE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
     let phase = CURRENT_PHASE.with(|p| p.get()) as usize;
@@ -110,7 +113,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// A snapshot of allocator activity over one [`measure`] region.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AllocStats {
-    /// Allocation calls (including the alloc half of every realloc).
+    /// Allocation calls on the measuring thread (including the alloc half
+    /// of every realloc).
     pub allocs: u64,
     /// Total bytes requested across those calls.
     pub bytes_allocated: u64,
@@ -218,21 +222,22 @@ pub fn phase_totals() -> [PhaseStats; Phase::COUNT] {
     out
 }
 
-/// Runs `f` and reports the allocator activity it caused. Deltas are exact
-/// only while nothing else allocates concurrently — measure single-threaded
-/// regions.
+/// Runs `f` and reports the allocator activity it caused on the calling
+/// thread. Allocations on other threads, including threads `f` itself
+/// spawns, are excluded from `allocs` and `bytes_allocated`; the peak is
+/// process-wide (see the crate docs).
 pub fn measure<T>(f: impl FnOnce() -> T) -> (T, AllocStats) {
     #[cfg(feature = "count")]
     {
-        let calls_before = ALLOC_CALLS.load(Ordering::Relaxed);
-        let bytes_before = BYTES_ALLOCATED.load(Ordering::Relaxed);
+        let calls_before = THREAD_ALLOCS.with(std::cell::Cell::get);
+        let bytes_before = THREAD_BYTES.with(std::cell::Cell::get);
         // Rebase the high-water mark to the region entry so the reported
         // peak is this region's own, not some earlier workload's.
         PEAK_BYTES.store(BYTES_IN_USE.load(Ordering::Relaxed), Ordering::Relaxed);
         let value = f();
         let stats = AllocStats {
-            allocs: ALLOC_CALLS.load(Ordering::Relaxed) - calls_before,
-            bytes_allocated: BYTES_ALLOCATED.load(Ordering::Relaxed) - bytes_before,
+            allocs: THREAD_ALLOCS.with(std::cell::Cell::get) - calls_before,
+            bytes_allocated: THREAD_BYTES.with(std::cell::Cell::get) - bytes_before,
             peak_bytes_in_use: PEAK_BYTES.load(Ordering::Relaxed),
         };
         (value, stats)
@@ -301,6 +306,22 @@ mod tests {
     fn phase_labels_are_stable_report_keys() {
         let labels: Vec<&str> = Phase::ALL.iter().map(|p| p.label()).collect();
         assert_eq!(labels, vec!["unattributed", "tx_path", "queue", "event_loop"]);
+    }
+
+    #[test]
+    fn measure_excludes_allocations_on_other_threads() {
+        let (bytes, stats) = measure(|| {
+            std::thread::scope(|scope| {
+                scope.spawn(|| std::hint::black_box(vec![0u8; 1 << 20]).len()).join().unwrap()
+            })
+        });
+        assert_eq!(bytes, 1 << 20);
+        // Spawning the thread allocates on this thread (its handle and
+        // closure packet); the 1 MiB buffer must not be among those bytes.
+        assert!(
+            stats.bytes_allocated < 1 << 20,
+            "the spawned thread's 1 MiB was counted: {stats:?}"
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Golden regression tests for experiment outputs.
 //!
-//! Each test renders a figure/table at a small fixed configuration
+//! Each figure/table test renders at a small fixed configuration
 //! (120 simulated ms, seeds {1, 2}) and compares it byte-for-byte with a
-//! snapshot taken when the parallel grid engine landed. A mismatch means a
+//! snapshot taken when the parallel grid engine landed; the sweep test runs
+//! a built-in scengen sweep at its own configuration. A mismatch means a
 //! refactor changed the simulation's numbers — if the change is intended
 //! (e.g. a physics or MAC fix), update the snapshot string in the failing
 //! test *and say so in the commit*; if not, it just caught a regression
@@ -49,6 +50,20 @@ fn fig6_regular_matches_snapshot() {
     assert_golden(&table.to_string(), GOLDEN_FIG6_REGULAR, "fig6(a)");
 }
 
+/// The refresh-enabled mobility sweep (12-station 5 m grid, drift and
+/// waypoint walkers, 50 ms min-ETX refresh) at its own built-in
+/// configuration. CI's determinism steps only compare this grid across
+/// worker and shard counts; this snapshot pins its table against a fixed
+/// reference, so a change to the link-state refresh or the route
+/// computation that alters the simulated traffic shows up here. The grid's equal spacing makes many paths tie on
+/// ETX, which exercises Dijkstra's lowest-index tie-break.
+#[test]
+fn mobility_refresh_sweep_matches_snapshot() {
+    let spec = wmn_scengen::SweepSpec::ci_mobility_refresh();
+    let outcome = exp::sweep::run_sweep(&spec, 1).expect("builtin sweep runs");
+    assert_golden(&outcome.table.to_string(), GOLDEN_SWEEP_MOBILITY_REFRESH, "ci-mobility-refresh");
+}
+
 #[test]
 fn table3_matches_snapshot() {
     let tables = exp::table3::generate(&golden_cfg());
@@ -89,3 +104,14 @@ const GOLDEN_TABLE3_BER1E6: &str = "\
 | DCF    | 4.02        | 2.45        | 2.17        |
 | AFR    | 4.02        | 3.15        | 2.14        |
 | RIPPLE | 4.03        | 4.02        | 3.40        |";
+
+const GOLDEN_SWEEP_MOBILITY_REFRESH: &str = "\
+### Sweep ci-mobility-refresh — seed-averaged throughput over 12 runs (6 scenarios × 2 seeds)
+| scenario                                                            | nodes | flows | total Mbps | worst flow Mbps | mean MoS |
+|---------------------------------------------------------------------|-------|-------|------------|-----------------|----------|
+| ci-mobility-refresh-grid4x3-f1w0v1c0-far-pairs-DCF-t1               | 12    | 2     | 7.74       | 0.10            | 4.02     |
+| ci-mobility-refresh-grid4x3-f1w0v1c0-far-pairs-DCF-t1-mdrift2       | 12    | 2     | 7.94       | 0.10            | 4.03     |
+| ci-mobility-refresh-grid4x3-f1w0v1c0-far-pairs-DCF-t1-mwp3x2        | 12    | 2     | 8.06       | 0.10            | 4.02     |
+| ci-mobility-refresh-grid4x3-f1w0v1c0-far-pairs-RIPPLE-16-t1         | 12    | 2     | 46.92      | 0.10            | 4.03     |
+| ci-mobility-refresh-grid4x3-f1w0v1c0-far-pairs-RIPPLE-16-t1-mdrift2 | 12    | 2     | 48.08      | 0.10            | 4.03     |
+| ci-mobility-refresh-grid4x3-f1w0v1c0-far-pairs-RIPPLE-16-t1-mwp3x2  | 12    | 2     | 48.94      | 0.10            | 4.03     |";

@@ -8,7 +8,7 @@
 //! layered stack bit-identical to its predecessor. Mobility draws **no**
 //! randomness at run time: trajectories are pure functions of time
 //! ([`wmn_topology::motion`]), sampled on a fixed tick and pushed into the
-//! medium's incremental row/column link-state refresh.
+//! medium's batched link-state refresh.
 
 use std::sync::Arc;
 
@@ -118,33 +118,37 @@ impl ArrivalSlab {
 }
 
 /// One mobility step over any medium handle: re-sample every moving node's
-/// trajectory at `now` and push changed positions into the medium's
-/// incremental link-state refresh. Shared by [`PhyIo::advance_positions`]
-/// (single-loop engine) and the shard coordinator's mobility barrier, so the
-/// two engines cannot drift apart on what a tick means.
+/// trajectory at `now`, collect the changed positions into `moves` (a
+/// caller-owned buffer, cleared first, so a tick allocates nothing once it
+/// has grown), and push them into the medium as one batched link-state
+/// refresh. Shared by [`PhyIo::advance_positions`] (single-loop engine) and
+/// the shard coordinator's mobility barrier, so the two engines cannot drift
+/// apart on what a tick means.
 ///
 /// A node whose sampled position equals its current one — typically a
-/// waypoint walker parked at its final target — skips the refresh entirely:
+/// waypoint walker parked at its final target — is left out of the batch:
 /// recomputing link state from an identical position yields identical values
 /// (the computation is deterministic and draws no RNG), so the short-circuit
-/// cannot change results, only save the `2n − 1` entry updates per tick.
+/// cannot change results, only save the node's `n − 1` pair updates.
 pub(crate) fn advance_medium_positions(
     medium: &mut Medium,
     motion: &MotionPlan,
     origin: &[Position],
     now: SimTime,
+    moves: &mut Vec<(NodeId, Position)>,
 ) {
+    moves.clear();
     for (i, path) in motion.paths.iter().enumerate() {
         if path.is_static() {
             continue;
         }
         let node = NodeId::new(i as u32);
         let pos = path.position_at(origin[i], now);
-        if pos == medium.position(node) {
-            continue;
+        if pos != medium.position(node) {
+            moves.push((node, pos));
         }
-        medium.update_node_position(node, pos);
     }
+    medium.update_positions(moves);
 }
 
 /// The PHY I/O layer: medium, per-station receivers, arrival slab, BER, and
@@ -163,6 +167,8 @@ pub(crate) struct PhyIo {
     /// The `t = 0` placement mobility trajectories are anchored to.
     origin: Vec<Position>,
     motion: MotionPlan,
+    /// Reusable buffer of one mobility tick's moves.
+    moves: Vec<(NodeId, Position)>,
 }
 
 impl PhyIo {
@@ -180,6 +186,7 @@ impl PhyIo {
             ber_rng: dir.stream("ber"),
             origin: scenario.positions.clone(),
             motion: scenario.motion.clone(),
+            moves: Vec::new(),
         }
     }
 
@@ -270,11 +277,17 @@ impl PhyIo {
     }
 
     /// One mobility step: re-sample every moving node's trajectory at `now`
-    /// and push the new position into the medium's incremental link-state
+    /// and push the new positions into the medium's batched link-state
     /// refresh (O(n) per moved node, instead of an n² matrix rebuild). See
     /// [`advance_medium_positions`], which the shard coordinator shares.
     pub(crate) fn advance_positions(&mut self, now: SimTime) {
-        advance_medium_positions(&mut self.medium, &self.motion, &self.origin, now);
+        advance_medium_positions(
+            &mut self.medium,
+            &self.motion,
+            &self.origin,
+            now,
+            &mut self.moves,
+        );
     }
 
     /// The medium's current idea of a station's position (moves over time

@@ -108,6 +108,7 @@ pub(crate) fn run_sharded(scenario: &Scenario, shards: u32) -> RunResult {
     let mut next_mobility =
         (!scenario.motion.is_static()).then(|| SimTime::ZERO + scenario.motion.tick);
     let mut next_refresh = scenario.route_refresh.map(|interval| SimTime::ZERO + interval);
+    let mut moves = Vec::new();
 
     let start = Barrier::new(k + 1);
     let done = Barrier::new(k + 1);
@@ -168,6 +169,7 @@ pub(crate) fn run_sharded(scenario: &Scenario, shards: u32) -> RunResult {
                         &scenario.motion,
                         &scenario.positions,
                         seg_end,
+                        &mut moves,
                     );
                 }
                 let tick = scenario.motion.tick;

@@ -62,9 +62,11 @@ pub enum LinkClass {
     AlwaysDecodable,
 }
 
-/// Precomputed state of one directed station pair: everything about the
+/// Precomputed state of one station pair: everything about the
 /// deterministic part of the propagation model, so the per-transmission work
-/// reduces to one shadowing draw and a threshold compare.
+/// reduces to one shadowing draw and a threshold compare. Every field is a
+/// function of the pair's distance alone, so both directions of a pair hold
+/// the same bits.
 #[derive(Clone, Copy, Debug)]
 struct LinkState {
     /// Distance in metres.
@@ -79,11 +81,17 @@ struct LinkState {
 
 /// The shared wireless medium: node positions plus the propagation model.
 ///
-/// Positions never move mid-run, so construction materialises a flat n×n
-/// link-state matrix (distance, mean received power, propagation delay, and
-/// a threshold classification per directed pair). [`Medium::plan_transmission`]
-/// is then a row walk that adds one fresh shadowing draw per pair instead of
-/// re-deriving the geometry and path loss on every transmission.
+/// Construction materialises a flat n×n link-state matrix (distance, mean
+/// received power, propagation delay, and a threshold classification per
+/// directed pair). [`Medium::plan_transmission`] is then a row walk that adds
+/// one fresh shadowing draw per pair instead of re-deriving the geometry and
+/// path loss on every transmission. Under mobility,
+/// [`Medium::update_positions`] refreshes only the pairs a batch of moves
+/// touches.
+///
+/// The link state of a pair depends only on its distance, so the matrix is
+/// symmetric: construction and refresh compute each unordered pair once and
+/// write both `[a][b]` and `[b][a]`.
 ///
 /// # Example
 ///
@@ -108,6 +116,10 @@ pub struct Medium {
     /// directed pair. The diagonal is filled (zero distance) but never read
     /// by the planner.
     links: Vec<LinkState>,
+    /// Per-station marks of [`Medium::update_positions`]: set for a moved
+    /// station once its pairs are refreshed, so a pair of two moved
+    /// stations is computed once. All clear between calls.
+    refreshed: Vec<bool>,
 }
 
 /// The largest |z| the Box–Muller transform over a 53-bit uniform can emit
@@ -118,12 +130,14 @@ fn max_shadowing_sigmas() -> f64 {
     (-2.0 * (1.0 / (1u64 << 53) as f64).ln()).sqrt() * (1.0 + 1e-9) + 1e-9
 }
 
-/// Computes the link state of one directed pair. This is the **single**
-/// place the deterministic part of the propagation model is evaluated:
-/// construction and the incremental [`Medium::update_node_position`] refresh
-/// both call it, so a refreshed matrix is bit-identical to a rebuilt one.
-fn link_state(params: &PhyParams, from: Position, to: Position) -> LinkState {
-    let z_max = max_shadowing_sigmas();
+/// Computes the link state of one pair, given `z_max =`
+/// [`max_shadowing_sigmas`] (hoisted by the callers, which evaluate many
+/// pairs). This is the **single** place the deterministic part of the
+/// propagation model is evaluated: construction and the incremental
+/// [`Medium::update_positions`] refresh both call it, so a refreshed matrix
+/// is bit-identical to a rebuilt one. Swapping `from` and `to` gives the
+/// same bits: the distance is a `hypot` of negated differences.
+fn link_state(params: &PhyParams, z_max: f64, from: Position, to: Position) -> LinkState {
     let sigma = params.shadowing.sigma_db.abs();
     let d = from.distance_to(to);
     let mean = params.shadowing.mean_rx_dbm(params.tx_power_dbm, d);
@@ -148,39 +162,73 @@ impl Medium {
     /// per-pair link-state matrix (O(n²) once, instead of per transmission).
     pub fn new(params: PhyParams, positions: Vec<Position>) -> Self {
         let n = positions.len();
-        let mut links = Vec::with_capacity(n * n);
-        for from in 0..n {
-            for to in 0..n {
-                links.push(link_state(&params, positions[from], positions[to]));
+        let z_max = max_shadowing_sigmas();
+        // A station's distance to itself is zero at any finite position, so
+        // one diagonal entry serves every station and the fill below only
+        // computes the upper triangle, mirroring each pair.
+        let diagonal = link_state(&params, z_max, Position::default(), Position::default());
+        let mut links = vec![diagonal; n * n];
+        for a in 0..n {
+            for b in a + 1..n {
+                let link = link_state(&params, z_max, positions[a], positions[b]);
+                links[a * n + b] = link;
+                links[b * n + a] = link;
             }
         }
-        Medium { params, positions, links }
+        Medium { params, positions, links, refreshed: vec![false; n] }
     }
 
-    /// Moves one station and refreshes only the link-state entries the move
-    /// can affect: the node's row (it as transmitter) and its column (it as
-    /// receiver) — `2n − 1` entries instead of the full n² rebuild, which is
-    /// what makes per-tick mobility affordable on large placements.
+    /// Moves one station. Shorthand for a one-move
+    /// [`Medium::update_positions`] batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn update_node_position(&mut self, node: NodeId, position: Position) {
+        self.update_positions(&[(node, position)]);
+    }
+
+    /// Moves a batch of stations and refreshes only the link-state entries
+    /// the moves can affect: every pair with at least one moved endpoint.
+    /// Each such unordered pair is computed once and written to both
+    /// directions, so one moved station costs `n − 1` pair computations,
+    /// and `k` moved stations cost fewer than `k·n` (a pair of two moved
+    /// stations is shared). When a station appears more than once, its last
+    /// position wins.
     ///
     /// The refreshed entries are computed by the same code path as
     /// construction, so after any sequence of updates the matrix is
     /// bit-identical to `Medium::new` over the current placement (pinned by
     /// this module's tests). No RNG is touched: link state is the
     /// deterministic part of the model, and per-frame shadowing draws keep
-    /// their stream positions regardless of position changes.
+    /// their stream positions regardless of position changes. No memory is
+    /// allocated.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is out of range.
-    pub fn update_node_position(&mut self, node: NodeId, position: Position) {
+    /// Panics if a node id is out of range.
+    pub fn update_positions(&mut self, moves: &[(NodeId, Position)]) {
         let n = self.positions.len();
-        assert!(node.index() < n, "node id out of range");
-        self.positions[node.index()] = position;
-        for other in 0..n {
-            self.links[node.index() * n + other] =
-                link_state(&self.params, position, self.positions[other]);
-            self.links[other * n + node.index()] =
-                link_state(&self.params, self.positions[other], position);
+        assert!(moves.iter().all(|&(node, _)| node.index() < n), "node id out of range");
+        for &(node, position) in moves {
+            self.positions[node.index()] = position;
+        }
+        let z_max = max_shadowing_sigmas();
+        for &(node, _) in moves {
+            let a = node.index();
+            if self.refreshed[a] {
+                continue;
+            }
+            let position = self.positions[a];
+            for b in (0..n).filter(|&b| b != a && !self.refreshed[b]) {
+                let link = link_state(&self.params, z_max, position, self.positions[b]);
+                self.links[a * n + b] = link;
+                self.links[b * n + a] = link;
+            }
+            self.refreshed[a] = true;
+        }
+        for &(node, _) in moves {
+            self.refreshed[node.index()] = false;
         }
     }
 
@@ -205,7 +253,7 @@ impl Medium {
 
     /// The *current* placement of every station, in node-id order.
     ///
-    /// Under mobility this reflects every [`Medium::update_node_position`]
+    /// Under mobility this reflects every [`Medium::update_positions`]
     /// applied so far — it is the live view routing-refresh passes rebuild
     /// their link graphs from.
     pub fn positions(&self) -> &[Position] {
@@ -213,18 +261,22 @@ impl Medium {
     }
 
     /// Clean-frame delivery probability over the directed pair, evaluated
-    /// from the *cached* link distance ([`PhyParams::link_delivery_probability`]).
+    /// from the *cached* mean received power.
     ///
-    /// Because the cached distance comes from the same `distance_to`
-    /// computation as scenario build, this is bit-identical to evaluating the
-    /// analytic model over the current placement directly — the property that
-    /// makes a route refresh over an unmoved topology a behavioural no-op.
+    /// The cached mean is the expression
+    /// [`PhyParams::link_delivery_probability`] computes from the distance,
+    /// over a distance from the same `distance_to` computation as scenario
+    /// build, so this is bit-identical to evaluating the analytic model over
+    /// the current placement directly — the property that makes a route
+    /// refresh over an unmoved topology a behavioural no-op. Like all link
+    /// state it is symmetric: both directions of a pair give the same bits.
     ///
     /// # Panics
     ///
     /// Panics if either id is out of range.
     pub fn link_delivery_probability(&self, from: NodeId, to: NodeId) -> f64 {
-        self.params.link_delivery_probability(self.link(from, to).distance)
+        let p = &self.params;
+        p.shadowing.success_probability_at_mean(self.link(from, to).mean_rx_dbm, p.rx_thresh_dbm)
     }
 
     /// Distance between two stations in metres (precomputed).
@@ -960,6 +1012,51 @@ mod tests {
             }
             let rebuilt = Medium::new(PhyParams::paper_216(), positions);
             assert_links_identical(&medium, &rebuilt, "prop rebuild");
+        }
+
+        /// A random multi-station batch — repeats allowed, and half the
+        /// cases move every station — leaves the matrix bit-identical to a
+        /// fresh construction over the final placement, and every pair's two
+        /// directions bit-equal.
+        #[test]
+        fn prop_batched_refresh_matches_rebuild_and_stays_symmetric(
+            coords in proptest::collection::vec((0.0f64..500.0, 0.0f64..500.0), 2..14),
+            batch in proptest::collection::vec((0usize..14, 0.0f64..500.0, 0.0f64..500.0), 0..20),
+            everyone_moves in any::<bool>(),
+        ) {
+            use crate::params::PhyParams;
+            let mut positions: Vec<Position> =
+                coords.iter().map(|&(x, y)| Position::new(x, y)).collect();
+            let n = positions.len();
+            let mut medium = Medium::new(PhyParams::paper_216(), positions.clone());
+            let mut moves: Vec<(NodeId, Position)> = batch
+                .iter()
+                .map(|&(pick, x, y)| (NodeId::new((pick % n) as u32), Position::new(x, y)))
+                .collect();
+            if everyone_moves {
+                moves.extend((0..n).map(|i| {
+                    let p = positions[i];
+                    (NodeId::new(i as u32), Position::new(p.y + 1.5, p.x * 0.5))
+                }));
+            }
+            for &(node, pos) in &moves {
+                positions[node.index()] = pos;
+            }
+            medium.update_positions(&moves);
+            let rebuilt = Medium::new(PhyParams::paper_216(), positions);
+            assert_links_identical(&medium, &rebuilt, "batched rebuild");
+            for a in 0..n {
+                for b in 0..n {
+                    let (x, y) = (&medium.links()[a * n + b], &medium.links()[b * n + a]);
+                    prop_assert_eq!(x.distance.to_bits(), y.distance.to_bits());
+                    prop_assert_eq!(x.mean_rx_dbm.to_bits(), y.mean_rx_dbm.to_bits());
+                    prop_assert_eq!(x.delay, y.delay);
+                    prop_assert_eq!(x.class, y.class);
+                }
+            }
+            // The marks are clear again: a follow-up single move still
+            // refreshes every pair it touches.
+            prop_assert!(medium.refreshed.iter().all(|&r| !r));
         }
 
         /// The cached planner is pinned bit-identical to the pre-refactor

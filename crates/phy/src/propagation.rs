@@ -63,8 +63,14 @@ impl Shadowing {
     /// Analytic probability that a sample exceeds `threshold_dbm`:
     /// Φ((mean − threshold)/σ).
     pub fn success_probability(&self, tx_dbm: f64, metres: f64, threshold_dbm: f64) -> f64 {
-        let margin = self.mean_rx_dbm(tx_dbm, metres) - threshold_dbm;
-        normal_cdf(margin / self.sigma_db)
+        self.success_probability_at_mean(self.mean_rx_dbm(tx_dbm, metres), threshold_dbm)
+    }
+
+    /// [`Shadowing::success_probability`] from an already computed mean
+    /// received power, so a caller holding a cached mean skips the `log10`
+    /// and gets the same bits.
+    pub fn success_probability_at_mean(&self, mean_rx_dbm: f64, threshold_dbm: f64) -> f64 {
+        normal_cdf((mean_rx_dbm - threshold_dbm) / self.sigma_db)
     }
 }
 

@@ -8,6 +8,9 @@
 //! on forwarding, so we compute delivery probabilities *analytically* from
 //! the shadowing model rather than with probe traffic.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use wmn_phy::{Medium, PhyParams, Position};
 use wmn_sim::NodeId;
 
@@ -85,7 +88,23 @@ fn validate(delivery: &[Vec<f64>]) -> Result<(), EtxError> {
     Ok(())
 }
 
-/// Pairwise link-quality graph with ETX arithmetic and Dijkstra.
+/// ETX of a link from its two delivery probabilities, or `None` if either
+/// direction is below the usability floor. The product commutes, so both
+/// directions of a link get the same bits.
+fn link_etx_of(p_fwd: f64, p_rev: f64) -> Option<f64> {
+    (p_fwd >= MIN_LINK_PROBABILITY && p_rev >= MIN_LINK_PROBABILITY).then(|| 1.0 / (p_fwd * p_rev))
+}
+
+/// The usable links of a station placement, weighted by ETX, with Dijkstra
+/// over them.
+///
+/// The graph is sparse: it stores only links whose delivery probability
+/// clears the usability floor in both directions, as a compressed sparse
+/// row (CSR) adjacency — a flat neighbour array with a parallel array of
+/// link ETX values, each station's entries contiguous and in ascending
+/// neighbour order, plus one offset per station into them. A link's ETX
+/// does not depend on its direction, so each link appears once in each
+/// endpoint's row with the same bits.
 ///
 /// # Example
 ///
@@ -104,9 +123,14 @@ fn validate(delivery: &[Vec<f64>]) -> Result<(), EtxError> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LinkGraph {
-    n: usize,
-    /// delivery[i][j]: probability a frame from i is decodable at j.
-    delivery: Vec<Vec<f64>>,
+    /// `offsets[u]..offsets[u + 1]` is station `u`'s range of `neighbours`
+    /// and `etx` (`n + 1` entries).
+    offsets: Vec<u32>,
+    /// The far end of every usable link, once per endpoint, grouped by
+    /// station.
+    neighbours: Vec<u32>,
+    /// The ETX of each entry of `neighbours`.
+    etx: Vec<f64>,
 }
 
 impl LinkGraph {
@@ -125,6 +149,9 @@ impl LinkGraph {
     /// Fallible form of [`LinkGraph::from_placement`]: rejects non-finite
     /// delivery probabilities with a typed error naming the offending pair.
     ///
+    /// Each unordered pair is evaluated once: the distance, and so the
+    /// delivery probability, is the same bits in both directions.
+    ///
     /// # Errors
     ///
     /// [`EtxError::NonFinite`] if any pair's delivery probability is NaN or
@@ -133,28 +160,21 @@ impl LinkGraph {
         params: &PhyParams,
         positions: &[Position],
     ) -> Result<Self, EtxError> {
-        let n = positions.len();
-        let mut delivery = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    let d = positions[i].distance_to(positions[j]);
-                    delivery[i][j] = params.link_delivery_probability(d);
-                }
-            }
-        }
-        validate(&delivery)?;
-        Ok(LinkGraph { n, delivery })
+        Self::from_pairs(positions.len(), |a, b| {
+            let p = params.link_delivery_probability(positions[a].distance_to(positions[b]));
+            (p, p)
+        })
     }
 
     /// Builds the graph from a [`Medium`]'s *current* link state — the entry
     /// point of the live routing-refresh pass.
     ///
-    /// Delivery probabilities come from the medium's cached per-pair
-    /// distances, which the mobility subsystem keeps bit-identical to a full
-    /// rebuild over the current placement; over an unmoved placement this
-    /// graph is therefore bit-identical to
-    /// [`LinkGraph::from_placement`] at scenario build.
+    /// Delivery probabilities come from the medium's cached per-pair mean
+    /// received power, which the mobility subsystem keeps bit-identical to a
+    /// full rebuild over the current placement; over an unmoved placement
+    /// this graph is therefore bit-identical to
+    /// [`LinkGraph::from_placement`] at scenario build. The medium's link
+    /// state is symmetric, so each unordered pair is read once.
     ///
     /// # Errors
     ///
@@ -162,22 +182,15 @@ impl LinkGraph {
     /// infinite (a refresh caller can then keep its last-known-good routes
     /// instead of panicking mid-run).
     pub fn try_from_medium(medium: &Medium) -> Result<Self, EtxError> {
-        let n = medium.node_count();
-        let mut delivery = vec![vec![0.0; n]; n];
-        for (i, row) in delivery.iter_mut().enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                if i != j {
-                    *cell = medium
-                        .link_delivery_probability(NodeId::new(i as u32), NodeId::new(j as u32));
-                }
-            }
-        }
-        validate(&delivery)?;
-        Ok(LinkGraph { n, delivery })
+        Self::from_pairs(medium.node_count(), |a, b| {
+            let p = medium.link_delivery_probability(NodeId::new(a as u32), NodeId::new(b as u32));
+            (p, p)
+        })
     }
 
     /// Builds a graph directly from a delivery-probability matrix (used by
-    /// tests and synthetic topologies).
+    /// tests and synthetic topologies). `delivery[i][j]` is the probability
+    /// a frame from `i` is decodable at `j`; the diagonal is ignored.
     ///
     /// # Errors
     ///
@@ -185,29 +198,104 @@ impl LinkGraph {
     /// [`EtxError::NonFinite`] if any entry is NaN or infinite.
     pub fn from_matrix(delivery: Vec<Vec<f64>>) -> Result<Self, EtxError> {
         validate(&delivery)?;
-        let n = delivery.len();
-        Ok(LinkGraph { n, delivery })
+        Self::from_pairs(delivery.len(), |a, b| (delivery[a][b], delivery[b][a]))
+    }
+
+    /// The one constructor. `pair(a, b)` gives `(p_ab, p_ba)` for an
+    /// unordered pair `a < b` and must be a pure function of the pair.
+    ///
+    /// A first pass evaluates every pair once, in row-major order, checks
+    /// it, and records which links are usable (one bit per pair) and each
+    /// station's degree. That sizes the CSR arrays exactly, so a second
+    /// pass writes the usable links straight into place, re-evaluating only
+    /// those pairs. The graph is thus built with four allocations (the bits
+    /// and the three CSR arrays) and no growing buffer.
+    fn from_pairs(
+        n: usize,
+        mut pair: impl FnMut(usize, usize) -> (f64, f64),
+    ) -> Result<Self, EtxError> {
+        let non_finite = |from: usize, to: usize, value: f64| EtxError::NonFinite {
+            from: NodeId::new(from as u32),
+            to: NodeId::new(to as u32),
+            value,
+        };
+        let pairs = n * n.saturating_sub(1) / 2;
+        let mut usable = vec![0u64; pairs.div_ceil(64)];
+        let mut offsets = vec![0u32; n + 1];
+        let mut k = 0;
+        for a in 0..n {
+            for b in a + 1..n {
+                let (p_ab, p_ba) = pair(a, b);
+                if !p_ab.is_finite() {
+                    return Err(non_finite(a, b, p_ab));
+                }
+                if !p_ba.is_finite() {
+                    return Err(non_finite(b, a, p_ba));
+                }
+                if link_etx_of(p_ab, p_ba).is_some() {
+                    usable[k / 64] |= 1 << (k % 64);
+                    offsets[a] += 1;
+                    offsets[b] += 1;
+                }
+                k += 1;
+            }
+        }
+        // Running sums turn each degree into the end of its row; filling
+        // every row back to front then leaves `offsets[u]` at its start.
+        let mut total = 0;
+        for slot in &mut offsets {
+            total += *slot;
+            *slot = total;
+        }
+        let mut neighbours = vec![0u32; total as usize];
+        let mut etx = vec![0.0; total as usize];
+        // Walking the pairs in reverse fills each row from its end in
+        // descending neighbour order, so every row ends up ascending: a
+        // station's higher neighbours are placed before any lower one.
+        for a in (0..n).rev() {
+            for b in (a + 1..n).rev() {
+                k -= 1;
+                if usable[k / 64] & (1 << (k % 64)) == 0 {
+                    continue;
+                }
+                let (p_ab, p_ba) = pair(a, b);
+                let link_etx = link_etx_of(p_ab, p_ba).expect("usable in the first pass");
+                for (from, to) in [(a, b), (b, a)] {
+                    offsets[from] -= 1;
+                    neighbours[offsets[from] as usize] = to as u32;
+                    etx[offsets[from] as usize] = link_etx;
+                }
+            }
+        }
+        Ok(LinkGraph { offsets, neighbours, etx })
     }
 
     /// Number of stations.
     pub fn node_count(&self) -> usize {
-        self.n
+        self.offsets.len() - 1
     }
 
-    /// Forward delivery probability of the directed link `a → b`.
-    pub fn delivery_probability(&self, a: NodeId, b: NodeId) -> f64 {
-        self.delivery[a.index()][b.index()]
+    /// The usable links of `node` as parallel `(neighbours, etx)` slices,
+    /// in ascending neighbour order.
+    fn row(&self, node: usize) -> (&[u32], &[f64]) {
+        let range = self.offsets[node] as usize..self.offsets[node + 1] as usize;
+        (&self.neighbours[range.clone()], &self.etx[range])
+    }
+
+    /// The stations `node` has a usable link with (finite [`LinkGraph::link_etx`]),
+    /// in ascending id order.
+    pub fn neighbours(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.row(node.index()).0.iter().map(|&v| NodeId::new(v))
     }
 
     /// ETX of the link between `a` and `b`: `1/(p_ab · p_ba)`, or infinity
-    /// if either direction is below the usability floor.
+    /// if either direction is below the usability floor (and between a
+    /// station and itself).
     pub fn link_etx(&self, a: NodeId, b: NodeId) -> f64 {
-        let pf = self.delivery[a.index()][b.index()];
-        let pr = self.delivery[b.index()][a.index()];
-        if pf < MIN_LINK_PROBABILITY || pr < MIN_LINK_PROBABILITY {
-            f64::INFINITY
-        } else {
-            1.0 / (pf * pr)
+        let (neighbours, etx) = self.row(a.index());
+        match neighbours.binary_search(&(b.index() as u32)) {
+            Ok(i) => etx[i],
+            Err(_) => f64::INFINITY,
         }
     }
 
@@ -223,34 +311,43 @@ impl LinkGraph {
 
     /// Minimum-ETX path from `src` to `dst` (inclusive of both), or `None`
     /// if no usable path exists.
+    ///
+    /// Dijkstra over the usable links with a binary-heap frontier. The heap
+    /// orders nodes by distance and then by index, so among equally distant
+    /// nodes the lowest index settles first; on regular placements, where
+    /// many paths tie exactly, this tie-break decides the route. The cost
+    /// is O((n + m) log n) for `m` usable links.
     pub fn shortest_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        let n = self.n;
+        let n = self.node_count();
         let (s, d) = (src.index(), dst.index());
         let mut dist = vec![f64::INFINITY; n];
         let mut prev = vec![usize::MAX; n];
-        let mut visited = vec![false; n];
+        let mut settled = vec![false; n];
+        // Min-heap of (distance, node). Distances are sums of non-negative
+        // ETX values, and the bits of non-negative floats order like the
+        // floats themselves (and like `total_cmp`), so the key is the
+        // distance's bit pattern. A node is pushed again whenever its
+        // distance drops; the stale entries pop after it has settled and
+        // are skipped.
+        let mut frontier = BinaryHeap::new();
         dist[s] = 0.0;
-        for _ in 0..n {
-            // Linear extraction: topologies here are tens of nodes.
-            // `total_cmp` keeps the extraction total even for values a
-            // malformed metric could produce — construction rejects
-            // non-finite inputs, but the comparator must not be the thing
-            // that panics if that invariant ever slips.
-            let u = (0..n)
-                .filter(|&u| !visited[u] && dist[u].is_finite())
-                .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))?;
+        frontier.push(Reverse((0.0f64.to_bits(), s)));
+        while let Some(Reverse((_, u))) = frontier.pop() {
+            if settled[u] {
+                continue;
+            }
             if u == d {
                 break;
             }
-            visited[u] = true;
-            for v in 0..n {
-                if v == u || visited[v] {
-                    continue;
-                }
-                let w = self.link_etx(NodeId::new(u as u32), NodeId::new(v as u32));
-                if w.is_finite() && dist[u] + w < dist[v] {
-                    dist[v] = dist[u] + w;
+            settled[u] = true;
+            let (neighbours, etx) = self.row(u);
+            for (&v, &w) in neighbours.iter().zip(etx) {
+                let v = v as usize;
+                let alt = dist[u] + w;
+                if !settled[v] && alt < dist[v] {
+                    dist[v] = alt;
                     prev[v] = u;
+                    frontier.push(Reverse((alt.to_bits(), v)));
                 }
             }
         }
@@ -322,6 +419,110 @@ mod tests {
         LinkGraph::from_placement(&PhyParams::paper_216(), &line(n, spacing))
     }
 
+    /// The dense delivery matrix of a placement, each direction evaluated
+    /// on its own as the pre-CSR graph did.
+    fn delivery_matrix(positions: &[Position]) -> Vec<Vec<f64>> {
+        let params = PhyParams::paper_216();
+        let n = positions.len();
+        let mut delivery = vec![vec![0.0; n]; n];
+        for (i, row) in delivery.iter_mut().enumerate() {
+            for (j, cell) in row.iter_mut().enumerate() {
+                if i != j {
+                    *cell =
+                        params.link_delivery_probability(positions[i].distance_to(positions[j]));
+                }
+            }
+        }
+        delivery
+    }
+
+    /// The pre-CSR min-ETX search, kept as the oracle the sparse Dijkstra
+    /// is pinned against: a dense delivery matrix, link ETX recomputed per
+    /// probe, and linear extraction of the closest unvisited node (the
+    /// first, i.e. lowest-indexed, of equally close ones).
+    fn shortest_path_linear(
+        delivery: &[Vec<f64>],
+        src: NodeId,
+        dst: NodeId,
+    ) -> Option<Vec<NodeId>> {
+        let n = delivery.len();
+        let link_etx = |a: usize, b: usize| {
+            let (pf, pr) = (delivery[a][b], delivery[b][a]);
+            if pf < MIN_LINK_PROBABILITY || pr < MIN_LINK_PROBABILITY {
+                f64::INFINITY
+            } else {
+                1.0 / (pf * pr)
+            }
+        };
+        let (s, d) = (src.index(), dst.index());
+        let mut dist = vec![f64::INFINITY; n];
+        let mut prev = vec![usize::MAX; n];
+        let mut visited = vec![false; n];
+        dist[s] = 0.0;
+        for _ in 0..n {
+            let u = (0..n)
+                .filter(|&u| !visited[u] && dist[u].is_finite())
+                .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))?;
+            if u == d {
+                break;
+            }
+            visited[u] = true;
+            for v in 0..n {
+                if v == u || visited[v] {
+                    continue;
+                }
+                let w = link_etx(u, v);
+                if w.is_finite() && dist[u] + w < dist[v] {
+                    dist[v] = dist[u] + w;
+                    prev[v] = u;
+                }
+            }
+        }
+        if !dist[d].is_finite() {
+            return None;
+        }
+        let mut path = vec![d];
+        let mut cur = d;
+        while cur != s {
+            cur = prev[cur];
+            if cur == usize::MAX {
+                return None;
+            }
+            path.push(cur);
+        }
+        path.reverse();
+        Some(path.into_iter().map(|i| NodeId::new(i as u32)).collect())
+    }
+
+    /// Asserts two graphs hold the same links with bit-identical ETX.
+    fn assert_graphs_identical(a: &LinkGraph, b: &LinkGraph) {
+        assert_eq!(a.offsets, b.offsets, "same degrees");
+        assert_eq!(a.neighbours, b.neighbours, "same links");
+        for (x, y) in a.etx.iter().zip(&b.etx) {
+            assert_eq!(x.to_bits(), y.to_bits(), "same ETX bits");
+        }
+    }
+
+    /// Every src → dst pair of a placement routes identically through the
+    /// sparse graph and the linear oracle.
+    fn assert_matches_oracle(positions: &[Position]) -> Result<(), TestCaseError> {
+        let delivery = delivery_matrix(positions);
+        let g = LinkGraph::from_placement(&PhyParams::paper_216(), positions);
+        let n = positions.len() as u32;
+        for src in (0..n).map(NodeId::new) {
+            for dst in (0..n).map(NodeId::new) {
+                prop_assert_eq!(
+                    g.shortest_path(src, dst),
+                    shortest_path_linear(&delivery, src, dst),
+                    "{} -> {}",
+                    src.index(),
+                    dst.index()
+                );
+            }
+        }
+        Ok(())
+    }
+
     #[test]
     fn adjacent_links_have_low_etx() {
         let g = graph(4, 5.0);
@@ -379,16 +580,11 @@ mod tests {
         let mut medium = Medium::new(params.clone(), positions.clone());
         let built = LinkGraph::from_placement(&params, &positions);
         let live = LinkGraph::try_from_medium(&medium).unwrap();
-        for i in 0..5u32 {
-            for j in 0..5u32 {
-                let (a, b) = (NodeId::new(i), NodeId::new(j));
-                assert_eq!(
-                    live.delivery_probability(a, b).to_bits(),
-                    built.delivery_probability(a, b).to_bits(),
-                    "unmoved medium must reproduce the build-time graph exactly"
-                );
-            }
-        }
+        assert_graphs_identical(&live, &built);
+        assert_graphs_identical(
+            &built,
+            &LinkGraph::from_matrix(delivery_matrix(&positions)).unwrap(),
+        );
         // After a move the live graph tracks the new placement, again
         // bit-identical to a from-scratch build.
         let moved = Position::new(5.0, 30.0);
@@ -397,15 +593,7 @@ mod tests {
         positions[1] = moved;
         let rebuilt = LinkGraph::from_placement(&params, &positions);
         let live = LinkGraph::try_from_medium(&medium).unwrap();
-        for i in 0..5u32 {
-            for j in 0..5u32 {
-                let (a, b) = (NodeId::new(i), NodeId::new(j));
-                assert_eq!(
-                    live.delivery_probability(a, b).to_bits(),
-                    rebuilt.delivery_probability(a, b).to_bits()
-                );
-            }
-        }
+        assert_graphs_identical(&live, &rebuilt);
         assert_ne!(
             rebuilt.shortest_path(NodeId::new(0), NodeId::new(4)),
             Some(vec![0, 1, 2, 3, 4].into_iter().map(NodeId::new).collect()),
@@ -444,7 +632,64 @@ mod tests {
         assert_eq!(g.hop_count(NodeId::new(0), NodeId::new(4)), Some(4));
     }
 
+    #[test]
+    fn csr_rows_hold_every_usable_link_in_ascending_order() {
+        let positions: Vec<Position> = (0..12)
+            .map(|i| Position::new(f64::from(i % 4) * 5.0, f64::from(i / 4) * 5.0))
+            .collect();
+        let delivery = delivery_matrix(&positions);
+        let g = LinkGraph::from_placement(&PhyParams::paper_216(), &positions);
+        for a in 0..12u32 {
+            let listed: Vec<NodeId> = g.neighbours(NodeId::new(a)).collect();
+            let usable: Vec<NodeId> = (0..12u32)
+                .map(NodeId::new)
+                .filter(|&b| {
+                    b.index() != a as usize
+                        && delivery[a as usize][b.index()] >= MIN_LINK_PROBABILITY
+                        && delivery[b.index()][a as usize] >= MIN_LINK_PROBABILITY
+                })
+                .collect();
+            assert_eq!(listed, usable, "row {a}");
+            for &b in &listed {
+                let (pf, pr) = (delivery[a as usize][b.index()], delivery[b.index()][a as usize]);
+                assert_eq!(g.link_etx(NodeId::new(a), b).to_bits(), (1.0 / (pf * pr)).to_bits());
+                assert_eq!(
+                    g.link_etx(NodeId::new(a), b).to_bits(),
+                    g.link_etx(b, NodeId::new(a)).to_bits(),
+                    "ETX is direction-free"
+                );
+            }
+            assert!(g.link_etx(NodeId::new(a), NodeId::new(a)).is_infinite(), "no self links");
+        }
+    }
+
     proptest! {
+        /// The sparse heap Dijkstra returns exactly the linear-extraction
+        /// oracle's path for every endpoint pair of random placements.
+        #[test]
+        fn prop_sparse_dijkstra_matches_linear_oracle_on_random_placements(
+            coords in proptest::collection::vec((0.0f64..30.0, 0.0f64..30.0), 1..24),
+        ) {
+            let positions: Vec<Position> =
+                coords.iter().map(|&(x, y)| Position::new(x, y)).collect();
+            assert_matches_oracle(&positions)?;
+        }
+
+        /// The same on equal-spacing grids, where many paths tie on ETX
+        /// exactly: the heap's (distance, index) order must reproduce the
+        /// oracle's lowest-index tie-break.
+        #[test]
+        fn prop_sparse_dijkstra_matches_linear_oracle_on_grids(
+            cols in 1usize..7,
+            rows in 1usize..6,
+            spacing in 3.0f64..9.0,
+        ) {
+            let positions: Vec<Position> = (0..cols * rows)
+                .map(|i| Position::new((i % cols) as f64 * spacing, (i / cols) as f64 * spacing))
+                .collect();
+            assert_matches_oracle(&positions)?;
+        }
+
         /// Dijkstra's result never costs more than the direct link or than
         /// any single-relay alternative (spot optimality check).
         #[test]

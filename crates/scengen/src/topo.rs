@@ -308,10 +308,9 @@ pub fn is_connected(positions: &[Position]) -> bool {
     seen[0] = true;
     let mut reached = 1;
     while let Some(u) = stack.pop() {
-        for (v, v_seen) in seen.iter_mut().enumerate() {
-            if !*v_seen && graph.link_etx(NodeId::new(u as u32), NodeId::new(v as u32)).is_finite()
-            {
-                *v_seen = true;
+        for v in graph.neighbours(NodeId::new(u as u32)).map(NodeId::index) {
+            if !seen[v] {
+                seen[v] = true;
                 reached += 1;
                 stack.push(v);
             }

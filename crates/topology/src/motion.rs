@@ -11,9 +11,9 @@
 //!
 //! The plan deliberately knows nothing about the radio model: the
 //! simulation runner samples [`NodePath::position_at`] on a fixed tick and
-//! pushes the new placements into `wmn_phy::Medium::update_node_position`,
-//! which refreshes only the moved node's row and column of the link-state
-//! matrix.
+//! pushes each tick's new placements, as one batch, into
+//! `wmn_phy::Medium::update_positions`, which refreshes only the link-state
+//! pairs with a moved endpoint.
 
 use wmn_phy::Position;
 use wmn_sim::{SimDuration, SimTime};
