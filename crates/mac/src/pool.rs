@@ -10,7 +10,7 @@
 //! traffic recycles a bounded working set instead of paying one
 //! malloc/free pair per packet per hop.
 //!
-//! Recycling is **generation-tagged**, mirroring the arrival slab: every
+//! Recycling is **generation-tagged**: every
 //! mint stamps the buffer with a fresh generation from the pool's counter.
 //! The tag is how the property tests pin the invariant that matters — a
 //! recycled buffer starts life empty (no stale body bytes, no stale

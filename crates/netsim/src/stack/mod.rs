@@ -5,7 +5,8 @@
 //! the protocol stack the paper describes:
 //!
 //! * [`phy_io`] — the shared medium, per-station receivers, the in-flight
-//!   arrival slab, bit errors, and station mobility;
+//!   transmission fan-outs (two queued events per transmission, not two
+//!   per receiver), bit errors, and station mobility;
 //! * [`mac_engine`] — one [`wmn_mac::MacEntity`] per station, built through
 //!   the [`wmn_mac::MacScheme`] factory trait (enum-dispatched by
 //!   [`Scheme`](crate::Scheme), so the runner never names a concrete MAC);
@@ -49,7 +50,7 @@ use crate::trace::{FrameKind, Trace, TraceEvent, TraceKind};
 use flow_layer::FlowLayer;
 use mac_engine::MacEngine;
 use net_layer::NetLayer;
-use phy_io::PhyIo;
+use phy_io::{Cursor, PhyIo};
 
 /// TCP-specific per-flow results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -128,11 +129,14 @@ pub(crate) enum Event {
     TxEnd {
         node: NodeId,
     },
+    /// The start cursor of fan-out `fan` (see [`phy_io::FanSlab`]): the
+    /// next reception of a transmission begins.
     RxStart {
-        arrival: u64,
+        fan: u32,
     },
+    /// The end cursor of fan-out `fan`: the next reception ends.
     RxEnd {
-        arrival: u64,
+        fan: u32,
     },
     MacTimer {
         node: NodeId,
@@ -316,13 +320,11 @@ impl Runner {
                     self.macs.park_sink(sink);
                 }
             }
-            Event::RxStart { arrival } => {
-                let Some(a) = self.phy.arrival(arrival) else {
-                    return;
-                };
-                let (node, decodable, power) = (a.node, a.decodable, a.power_dbm);
+            Event::RxStart { fan } => {
+                let a = self.phy.next_arrival(fan, Cursor::Start, &mut self.queue);
+                let node = a.node;
                 if let Some(BusyTransition::BecameBusy) =
-                    self.phy.receiver(node).on_arrival_start(arrival, decodable, power, now)
+                    self.phy.receiver(node).on_arrival_start(a.id, a.decodable, a.power_dbm, now)
                 {
                     let mut sink = self.macs.take_sink();
                     self.macs.node(node).on_busy(now, &mut sink);
@@ -330,12 +332,10 @@ impl Runner {
                     self.macs.park_sink(sink);
                 }
             }
-            Event::RxEnd { arrival } => {
-                let Some(state) = self.phy.take_arrival(arrival) else {
-                    return;
-                };
-                let node = state.node;
-                let (outcome, transition) = self.phy.receiver(node).on_arrival_end(arrival, now);
+            Event::RxEnd { fan } => {
+                let a = self.phy.next_arrival(fan, Cursor::End, &mut self.queue);
+                let node = a.node;
+                let (outcome, transition) = self.phy.receiver(node).on_arrival_end(a.id, now);
                 // Idle first so relay waits measure from the channel edge.
                 if let Some(BusyTransition::BecameIdle) = transition {
                     let mut sink = self.macs.take_sink();
@@ -343,8 +343,8 @@ impl Runner {
                     self.apply_mac_actions(node, &mut sink);
                     self.macs.park_sink(sink);
                 }
-                if outcome == ArrivalOutcome::Clean && state.decodable {
-                    if let Some(frame) = self.phy.apply_bit_errors(&state.frame) {
+                if outcome == ArrivalOutcome::Clean && a.decodable {
+                    if let Some(frame) = self.phy.apply_bit_errors(fan) {
                         if self.trace.is_some() {
                             let (kind, flow, frame_seq) = match &*frame {
                                 Frame::Data(d) => (FrameKind::Data, d.flow, d.frame_seq),
@@ -366,6 +366,7 @@ impl Runner {
                         self.macs.park_sink(sink);
                     }
                 }
+                self.phy.release_fan(fan);
             }
             Event::MacTimer { node, token } => {
                 let mut sink = self.macs.take_sink();

@@ -1,6 +1,8 @@
 //! The channel-facing layer of the node stack: the shared [`Medium`], one
-//! [`Receiver`] per station, the in-flight arrival slab, the bit-error
-//! model, and — since mobility — the station trajectories.
+//! [`Receiver`] per station, the in-flight transmissions' fan-outs
+//! (`FanSlab`: two queued events per transmission, however many
+//! receivers), the bit-error model, and — since mobility — the station
+//! trajectories.
 //!
 //! Everything stochastic about the channel lives here, behind exactly two
 //! streams (`medium` for shadowing, `ber` for bit errors), consumed in the
@@ -20,100 +22,226 @@ use wmn_topology::MotionPlan;
 use crate::scenario::Scenario;
 use crate::stack::Event;
 
-/// One in-flight arrival: a transmission en route to one receiver.
-pub(crate) struct ArrivalState {
+/// Bit 31 of [`FanEntry::tag`]: the arrival is strong enough to decode.
+const DECODABLE: u32 = 1 << 31;
+
+/// One receiver of a fan-out, packed into 24 bytes (a fan-out of a
+/// 1024-station campus holds a few hundred of them).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FanEntry {
+    /// Propagation delay from the transmitter.
+    delay: SimDuration,
+    /// Received power in dBm.
+    power_dbm: f64,
+    /// The receiving station.
+    to: NodeId,
+    /// The receiver's index in the transmission's reception plan in the
+    /// low 31 bits — the offset of its two sequence numbers — and the
+    /// [`DECODABLE`] flag in bit 31.
+    tag: u32,
+}
+
+impl FanEntry {
+    /// The entry of receiver `index` of a reception plan.
+    pub(crate) fn new(index: usize, plan: &RxPlan) -> FanEntry {
+        debug_assert!(index < DECODABLE as usize, "plan index {index} overflows the tag");
+        let flag = if plan.decodable { DECODABLE } else { 0 };
+        FanEntry {
+            delay: plan.delay,
+            power_dbm: plan.power_dbm,
+            to: plan.to,
+            tag: index as u32 | flag,
+        }
+    }
+
+    /// The receiving station.
+    pub(crate) fn to(&self) -> NodeId {
+        self.to
+    }
+
+    fn index(&self) -> u32 {
+        self.tag & !DECODABLE
+    }
+
+    /// Where `cursor` schedules this receiver's event: at the reception's
+    /// start or end, under `seq_base + 2·index` (RxStart) or the number
+    /// after it (RxEnd) — the numbers the receiver's two events took when
+    /// every arrival was scheduled on its own.
+    pub(crate) fn head(&self, fan: &FanOrigin, cursor: Cursor) -> Head {
+        let seq = fan.seq_base + 2 * u64::from(self.index());
+        match cursor {
+            Cursor::Start => Head { at: fan.start + self.delay, from: fan.from, seq },
+            Cursor::End => {
+                Head { at: fan.start + self.delay + fan.airtime, from: fan.from, seq: seq + 1 }
+            }
+        }
+    }
+}
+
+/// What a fan-out shares across its receivers: the transmission.
+#[derive(Clone, Debug)]
+pub(crate) struct FanOrigin {
+    /// The transmitted frame: one allocation however many receivers.
+    pub(crate) frame: Arc<Frame>,
+    /// The transmitter (the sharded engine mints the keys on its lane).
+    pub(crate) from: NodeId,
+    /// The instant the transmission started.
+    pub(crate) start: SimTime,
+    /// Its airtime: every reception ends this long after it starts.
+    pub(crate) airtime: SimDuration,
+    /// First of the `2·plans` sequence numbers the transmission reserved.
+    pub(crate) seq_base: u64,
+}
+
+/// The two cursors of a fan-out: one walks the receivers' RxStart events,
+/// the other their RxEnd events.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Cursor {
+    /// Receptions starting.
+    Start,
+    /// Receptions ending.
+    End,
+}
+
+impl Cursor {
+    /// The event that stands for this cursor of fan-out `fan` in a queue.
+    pub(crate) fn event(self, fan: u32) -> Event {
+        match self {
+            Cursor::Start => Event::RxStart { fan },
+            Cursor::End => Event::RxEnd { fan },
+        }
+    }
+}
+
+/// Where a cursor is next due: the instant and sequence number of its
+/// next receiver's event, and the transmitter whose lane the number is on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Head {
+    pub(crate) at: SimTime,
+    pub(crate) from: NodeId,
+    pub(crate) seq: u64,
+}
+
+/// One receiver's arrival, handed out as its cursor passes it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Arrival {
     /// The receiving station.
     pub(crate) node: NodeId,
-    /// Shared handle to the transmitted frame: a broadcast to k receivers
-    /// costs one allocation, not k deep clones. Clean decodes ride the same
-    /// shared handle all the way into the MAC; a private copy is made only
-    /// when bit errors corrupt a subframe (see
-    /// [`decode_frame`](super::decode::decode_frame)).
-    pub(crate) frame: Arc<Frame>,
+    /// The arrival's id at its receiver: fan-out slot and entry position.
+    pub(crate) id: u64,
     /// Whether the arrival is strong enough to decode.
     pub(crate) decodable: bool,
     /// Received power in dBm.
     pub(crate) power_dbm: f64,
 }
 
-/// One slab slot: its current occupant (if any) plus a generation counter
-/// bumped every time the slot is freed, so recycled slots mint fresh ids.
+/// One transmission in flight: its receivers sorted by `(delay, plan
+/// index)` — the order their events pop — and a position per cursor.
 #[derive(Default)]
-struct Slot {
-    generation: u32,
-    state: Option<ArrivalState>,
+struct FanOut {
+    /// `None` while the slot is free.
+    origin: Option<FanOrigin>,
+    entries: Vec<FanEntry>,
+    /// Next entry of each cursor, indexed by `Cursor as usize`.
+    next: [u32; 2],
 }
 
-/// Packs a slot index and its generation into one arrival event id.
-fn arrival_id(slot: u32, generation: u32) -> u64 {
-    (u64::from(generation) << 32) | u64::from(slot)
-}
-
-/// Splits an arrival event id back into `(slot, generation)`.
-fn split_arrival_id(id: u64) -> (u32, u32) {
-    (id as u32, (id >> 32) as u32)
-}
-
-/// The in-flight arrival slab, factored out of [`PhyIo`] so shard workers
-/// can own one each: freed slots are recycled LIFO, so memory stays bounded
-/// by the peak number of concurrent arrivals instead of growing with the run
-/// length. Event ids pack the slot index with the slot's generation tag (see
-/// [`arrival_id`]): a stale id whose slot was recycled for a *different*
-/// arrival then fails the generation check instead of silently aliasing the
-/// new occupant. Slab ids are pure lookup handles — they never participate
-/// in event ordering, which is what lets each shard mint its own ids without
-/// perturbing the deterministic `(time, key)` schedule.
+/// The in-flight fan-outs of one engine (one per shard worker), in a slab
+/// of recycled slots.
+///
+/// A transmission keeps two events in the queue, not two per receiver:
+/// `RxStart { fan }` at its start cursor's head and `RxEnd { fan }` at its
+/// end cursor's. Dispatching one hands out the receiver at the head
+/// ([`FanSlab::advance`]) and re-schedules the cursor at the next receiver.
+/// Because the receivers are sorted by `(delay, plan index)` and keep the
+/// sequence numbers (or keys) they had when each was scheduled on its own,
+/// a heap of cursors pops the exact `(time, seq)` sequence a heap of all
+/// arrivals did.
+///
+/// A slot — and with it the entry buffer's capacity — is recycled LIFO
+/// once its end cursor has passed the last receiver, so a steady-state
+/// transmission allocates nothing here. Arrival ids pack `(slot, entry
+/// position)`; since a slot is freed only after every one of its
+/// receptions ended, an id is unique among the arrivals live at any
+/// receiver (which `Receiver` asserts in debug builds). Ids are lookup
+/// handles only and never order events.
 #[derive(Default)]
-pub(crate) struct ArrivalSlab {
-    arrivals: Vec<Slot>,
+pub(crate) struct FanSlab {
+    fans: Vec<FanOut>,
     free: Vec<u32>,
 }
 
-impl ArrivalSlab {
-    /// Places an in-flight arrival into the slab, recycling a freed slot if
-    /// one is available, and returns its generation-tagged event id.
-    pub(crate) fn alloc(&mut self, state: ArrivalState) -> u64 {
-        match self.free.pop() {
-            Some(slot) => {
-                let entry = &mut self.arrivals[slot as usize];
-                entry.state = Some(state);
-                arrival_id(slot, entry.generation)
-            }
+impl FanSlab {
+    /// Opens a fan-out of `origin` to the receivers in `entries` (any
+    /// order), or returns `None` if there are none. The entries move into
+    /// the slot; `entries` comes back empty, holding a recycled buffer.
+    pub(crate) fn open(&mut self, origin: FanOrigin, entries: &mut Vec<FanEntry>) -> Option<u32> {
+        if entries.is_empty() {
+            return None;
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
             None => {
-                self.arrivals.push(Slot { generation: 0, state: Some(state) });
-                arrival_id((self.arrivals.len() - 1) as u32, 0)
+                self.fans.push(FanOut::default());
+                (self.fans.len() - 1) as u32
             }
-        }
+        };
+        let fan = &mut self.fans[slot as usize];
+        debug_assert!(fan.origin.is_none() && fan.entries.is_empty(), "slot {slot} is live");
+        std::mem::swap(&mut fan.entries, entries);
+        fan.entries.sort_unstable_by_key(|e| (e.delay, e.index()));
+        fan.origin = Some(origin);
+        fan.next = [0, 0];
+        Some(slot)
     }
 
-    /// Peeks at a parked arrival (for RxStart), if it is still in flight.
-    /// An id whose slot has since been freed — even if recycled for another
-    /// arrival — fails the generation check and returns `None`.
-    pub(crate) fn peek(&self, id: u64) -> Option<&ArrivalState> {
-        let (slot, generation) = split_arrival_id(id);
-        let entry = self.arrivals.get(slot as usize)?;
-        if entry.generation != generation {
-            return None;
-        }
-        entry.state.as_ref()
+    /// The transmission fan-out `fan` carries.
+    pub(crate) fn origin(&self, fan: u32) -> &FanOrigin {
+        self.fans[fan as usize].origin.as_ref().expect("fan-out slot is live")
     }
 
-    /// Removes a parked arrival (at RxEnd), freeing its slot. Stale ids are
-    /// rejected by the generation check like in [`ArrivalSlab::peek`].
-    pub(crate) fn take(&mut self, id: u64) -> Option<ArrivalState> {
-        let (slot, generation) = split_arrival_id(id);
-        let entry = self.arrivals.get_mut(slot as usize)?;
-        if entry.generation != generation {
-            return None;
+    /// Where `cursor` of fan-out `fan` is next due, or `None` once it has
+    /// passed every receiver.
+    pub(crate) fn head(&self, fan: u32, cursor: Cursor) -> Option<Head> {
+        let f = &self.fans[fan as usize];
+        let entry = f.entries.get(f.next[cursor as usize] as usize)?;
+        Some(entry.head(self.origin(fan), cursor))
+    }
+
+    /// Hands out the receiver at `cursor`'s head, moves the cursor on, and
+    /// returns the arrival with the cursor's next head (`None` when it was
+    /// the last receiver).
+    pub(crate) fn advance(&mut self, fan: u32, cursor: Cursor) -> (Arrival, Option<Head>) {
+        let f = &mut self.fans[fan as usize];
+        let pos = f.next[cursor as usize];
+        let e = f.entries[pos as usize];
+        f.next[cursor as usize] += 1;
+        let arrival = Arrival {
+            node: e.to,
+            id: (u64::from(fan) << 32) | u64::from(pos),
+            decodable: e.tag & DECODABLE != 0,
+            power_dbm: e.power_dbm,
+        };
+        (arrival, self.head(fan, cursor))
+    }
+
+    /// Frees fan-out `fan` once its end cursor has passed every receiver;
+    /// before that, does nothing. Drops the slot's frame handle.
+    pub(crate) fn release_if_done(&mut self, fan: u32) {
+        let f = &mut self.fans[fan as usize];
+        debug_assert!(f.origin.is_some(), "fan-out slot {fan} released twice");
+        if (f.next[Cursor::End as usize] as usize) < f.entries.len() {
+            return;
         }
-        let state = entry.state.take()?;
-        // Freeing bumps the generation, invalidating every id minted for
-        // the old occupant the moment the slot is recyclable. Wrapping is
-        // fine: an id only collides after exactly 2^32 reuses of one slot
-        // while it is somehow still in flight.
-        entry.generation = entry.generation.wrapping_add(1);
-        self.free.push(slot);
-        Some(state)
+        f.origin = None;
+        f.entries.clear();
+        self.free.push(fan);
+    }
+
+    /// Live fan-outs (tests only).
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        self.fans.len() - self.free.len()
     }
 }
 
@@ -151,17 +279,20 @@ pub(crate) fn advance_medium_positions(
     medium.update_positions(moves);
 }
 
-/// The PHY I/O layer: medium, per-station receivers, arrival slab, BER, and
-/// mobility state.
+/// The PHY I/O layer: medium, per-station receivers, in-flight fan-outs,
+/// BER, and mobility state.
 pub(crate) struct PhyIo {
     medium: Medium,
     ber: BerModel,
     receivers: Vec<Receiver>,
-    /// Slab of in-flight arrivals (see [`ArrivalSlab`]).
-    arrivals: ArrivalSlab,
+    /// The transmissions in flight (see [`FanSlab`]).
+    fans: FanSlab,
     /// Reusable buffer for `Medium::plan_transmission_into` — zero planner
     /// allocations per transmission at steady state.
     plan_scratch: Vec<RxPlan>,
+    /// Reusable buffer a fan-out's entries are built in; [`FanSlab::open`]
+    /// swaps it for a recycled one.
+    fill: Vec<FanEntry>,
     medium_rng: StreamRng,
     ber_rng: StreamRng,
     /// The `t = 0` placement mobility trajectories are anchored to.
@@ -180,8 +311,9 @@ impl PhyIo {
             medium: Medium::new(scenario.params.clone(), scenario.positions.clone()),
             ber: BerModel::new(scenario.params.ber),
             receivers: (0..n).map(|_| Receiver::new()).collect(),
-            arrivals: ArrivalSlab::default(),
+            fans: FanSlab::default(),
             plan_scratch: Vec::new(),
+            fill: Vec::new(),
             medium_rng: dir.stream("medium"),
             ber_rng: dir.stream("ber"),
             origin: scenario.positions.clone(),
@@ -208,7 +340,9 @@ impl PhyIo {
 
     /// Fans one transmission out to every station that will perceive it:
     /// plans receptions (one shadowing draw per pair, station-index order),
-    /// parks each arrival in the slab, and schedules its RxStart/RxEnd pair.
+    /// reserves the two sequence numbers per receiver the queue would have
+    /// handed out scheduling each RxStart/RxEnd on its own, and opens a
+    /// fan-out whose two cursors are scheduled at their first receivers.
     pub(crate) fn broadcast(
         &mut self,
         from: NodeId,
@@ -216,51 +350,51 @@ impl PhyIo {
         airtime: SimDuration,
         queue: &mut EventQueue<Event>,
     ) {
-        // Plan into the reusable scratch buffer (taken out to satisfy the
-        // borrow checker while scheduling), then share one frame allocation
-        // across every receiver.
-        let mut plans = std::mem::take(&mut self.plan_scratch);
-        self.medium.plan_transmission_into(from, &mut self.medium_rng, &mut plans);
-        let frame = Arc::new(frame);
-        for plan in &plans {
-            let slot = self.alloc_arrival(ArrivalState {
-                node: plan.to,
-                frame: Arc::clone(&frame),
-                decodable: plan.decodable,
-                power_dbm: plan.power_dbm,
-            });
-            queue.schedule_in(plan.delay, Event::RxStart { arrival: slot });
-            queue.schedule_in(plan.delay + airtime, Event::RxEnd { arrival: slot });
+        let plans = &mut self.plan_scratch;
+        self.medium.plan_transmission_into(from, &mut self.medium_rng, plans);
+        let seq_base = queue.reserve_seqs(2 * plans.len() as u64);
+        self.fill.extend(plans.iter().enumerate().map(|(i, plan)| FanEntry::new(i, plan)));
+        let origin =
+            FanOrigin { frame: Arc::new(frame), from, start: queue.now(), airtime, seq_base };
+        if let Some(fan) = self.fans.open(origin, &mut self.fill) {
+            for cursor in [Cursor::Start, Cursor::End] {
+                let head = self.fans.head(fan, cursor).expect("an open fan-out has receivers");
+                queue.schedule_reserved(head.at, head.seq, cursor.event(fan));
+            }
         }
-        self.plan_scratch = plans;
     }
 
-    /// Places an in-flight arrival into the slab, recycling a freed slot if
-    /// one is available, and returns its generation-tagged event id.
-    fn alloc_arrival(&mut self, state: ArrivalState) -> u64 {
-        self.arrivals.alloc(state)
+    /// Hands out the arrival at `cursor`'s head of fan-out `fan` and
+    /// re-schedules the cursor at its next receiver, under that receiver's
+    /// reserved sequence number.
+    pub(crate) fn next_arrival(
+        &mut self,
+        fan: u32,
+        cursor: Cursor,
+        queue: &mut EventQueue<Event>,
+    ) -> Arrival {
+        let (arrival, next) = self.fans.advance(fan, cursor);
+        if let Some(head) = next {
+            queue.schedule_reserved(head.at, head.seq, cursor.event(fan));
+        }
+        arrival
     }
 
-    /// Peeks at a parked arrival (for RxStart), if it is still in flight.
-    /// See [`ArrivalSlab::peek`].
-    pub(crate) fn arrival(&self, id: u64) -> Option<&ArrivalState> {
-        self.arrivals.peek(id)
+    /// Frees fan-out `fan` after its last RxEnd has been handled.
+    pub(crate) fn release_fan(&mut self, fan: u32) {
+        self.fans.release_if_done(fan);
     }
 
-    /// Removes a parked arrival (at RxEnd), freeing its slot. See
-    /// [`ArrivalSlab::take`].
-    pub(crate) fn take_arrival(&mut self, id: u64) -> Option<ArrivalState> {
-        self.arrivals.take(id)
-    }
-
-    /// Applies the i.i.d. BER model to one received frame — a thin wrapper
-    /// over the engines' shared [`decode_frame`](super::decode::decode_frame)
-    /// seam, consuming this engine's global `ber` stream.
+    /// Applies the i.i.d. BER model to the frame of fan-out `fan` — a thin
+    /// wrapper over the engines' shared
+    /// [`decode_frame`](super::decode::decode_frame) seam, consuming this
+    /// engine's global `ber` stream.
     ///
     /// A frame that decodes with no subframe losses is handed to the MAC as
     /// a shared handle to the broadcast allocation (zero copies); only a
     /// corrupted frame pays for a copy-on-write detach.
-    pub(crate) fn apply_bit_errors(&mut self, frame: &Arc<Frame>) -> Option<RxFrame> {
+    pub(crate) fn apply_bit_errors(&mut self, fan: u32) -> Option<RxFrame> {
+        let frame = &self.fans.origin(fan).frame;
         super::decode::decode_frame(&self.ber, &mut self.ber_rng, frame)
     }
 
@@ -301,33 +435,113 @@ impl PhyIo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmn_mac::frame::AckFrame;
 
-    fn arrival(node: u32) -> ArrivalState {
-        ArrivalState {
-            node: NodeId::new(node),
-            frame: Arc::new(Frame::Ack(wmn_mac::frame::AckFrame {
-                transmitter: NodeId::new(0),
-                to: NodeId::new(node),
-                flow: wmn_sim::FlowId::new(0),
-                frame_seq: 0,
-                acked_seqs: Default::default(),
-                relay_list: Default::default(),
-            })),
-            decodable: true,
-            power_dbm: -50.0,
+    fn ack() -> Frame {
+        Frame::Ack(AckFrame {
+            transmitter: NodeId::new(0),
+            to: NodeId::new(1),
+            flow: wmn_sim::FlowId::new(0),
+            frame_seq: 0,
+            acked_seqs: Default::default(),
+            relay_list: Default::default(),
+        })
+    }
+
+    fn origin(seq_base: u64) -> FanOrigin {
+        FanOrigin {
+            frame: Arc::new(ack()),
+            from: NodeId::new(0),
+            start: SimTime::from_nanos(1_000),
+            airtime: SimDuration::from_nanos(500),
+            seq_base,
         }
     }
 
-    fn phy() -> PhyIo {
+    /// Entries of a plan whose receivers `1..` have the given delays (ns).
+    fn entries(delays: &[u64]) -> Vec<FanEntry> {
+        delays
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| {
+                let plan = RxPlan {
+                    to: NodeId::new(i as u32 + 1),
+                    delay: SimDuration::from_nanos(d),
+                    power_dbm: -60.0 - i as f64,
+                    decodable: i % 2 == 0,
+                };
+                FanEntry::new(i, &plan)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fan_entries_stay_compact() {
+        assert_eq!(std::mem::size_of::<FanEntry>(), 24);
+    }
+
+    #[test]
+    fn cursors_walk_receivers_in_delay_then_plan_order() {
+        let mut slab = FanSlab::default();
+        let mut fill = entries(&[30, 10, 10, 20]);
+        let fan = slab.open(origin(100), &mut fill).expect("receivers");
+        assert!(fill.is_empty(), "the entries moved into the slot");
+        // Plan indices in (delay, index) order: 1, 2, 3, 0.
+        let mut starts = Vec::new();
+        while let Some(head) = slab.head(fan, Cursor::Start) {
+            let (arrival, next) = slab.advance(fan, Cursor::Start);
+            assert_eq!(next, slab.head(fan, Cursor::Start));
+            starts.push((head.at.as_nanos(), head.seq, arrival.node.index(), arrival.decodable));
+        }
+        assert_eq!(
+            starts,
+            [
+                (1_010, 102, 2, false),
+                (1_010, 104, 3, true),
+                (1_020, 106, 4, false),
+                (1_030, 100, 1, true)
+            ]
+        );
+        let end = slab.head(fan, Cursor::End).expect("nothing ended yet");
+        assert_eq!((end.at.as_nanos(), end.seq, end.from), (1_510, 103, NodeId::new(0)));
+    }
+
+    #[test]
+    fn fan_slot_is_recycled_only_after_its_last_rx_end() {
+        let mut slab = FanSlab::default();
+        let first = slab.open(origin(0), &mut entries(&[5, 7])).expect("receivers");
+        let mut ids = Vec::new();
+        for _ in 0..2 {
+            ids.push(slab.advance(first, Cursor::Start).0.id);
+        }
+        assert_ne!(ids[0], ids[1], "ids are unique within a fan-out");
+        let (end, _) = slab.advance(first, Cursor::End);
+        assert_eq!(end.id, ids[0], "start and end of a reception share its id");
+        slab.release_if_done(first);
+        assert_eq!(slab.live(), 1, "one RxEnd still pending: the slot stays live");
+        let second = slab.open(origin(4), &mut entries(&[1])).expect("receivers");
+        assert_ne!(first, second, "a live slot is never handed out again");
+        slab.advance(first, Cursor::End);
+        slab.release_if_done(first);
+        assert_eq!(slab.live(), 1);
+        // The freed slot — and its entry buffer — is reused.
+        let mut fill = entries(&[3, 3, 3]);
+        let third = slab.open(origin(8), &mut fill).expect("receivers");
+        assert_eq!(third, first);
+        assert!(fill.capacity() >= 2, "the recycled buffer comes back to the caller");
+        assert!(slab.open(origin(9), &mut Vec::new()).is_none(), "no receivers, no fan-out");
+    }
+
+    fn phy(positions: Vec<Position>) -> PhyIo {
         let scenario = crate::scenario::Scenario {
-            name: "slab".into(),
+            name: "fan-out".into(),
             params: wmn_phy::PhyParams::paper_216(),
-            positions: vec![Position::new(0.0, 0.0), Position::new(5.0, 0.0)],
-            scheme: crate::scenario::Scheme::Dcf { aggregation: 1 },
             flows: vec![crate::scenario::FlowSpec {
                 path: vec![NodeId::new(0), NodeId::new(1)],
                 workload: crate::scenario::Workload::Ftp,
             }],
+            positions,
+            scheme: crate::scenario::Scheme::Dcf { aggregation: 1 },
             duration: SimDuration::from_millis(1),
             seed: 1,
             max_forwarders: 5,
@@ -339,34 +553,31 @@ mod tests {
     }
 
     #[test]
-    fn recycled_slot_rejects_stale_ids() {
-        let mut phy = phy();
-        // First occupant of slot 0.
-        let first = phy.alloc_arrival(arrival(1));
-        assert!(phy.arrival(first).is_some());
-        assert!(phy.take_arrival(first).is_some());
-        // The slot is recycled LIFO for a different arrival…
-        let second = phy.alloc_arrival(arrival(0));
-        assert_ne!(first, second, "recycling must mint a fresh id");
-        assert_eq!(split_arrival_id(first).0, split_arrival_id(second).0, "same slot reused");
-        // …and the stale id must not alias the new occupant.
-        assert!(phy.arrival(first).is_none(), "stale peek rejected");
-        assert!(phy.take_arrival(first).is_none(), "stale take rejected");
-        let current = phy.arrival(second).expect("live id still resolves");
-        assert_eq!(current.node, NodeId::new(0));
-        assert!(phy.take_arrival(second).is_some());
-        // Double-take of a live id is also rejected.
-        assert!(phy.take_arrival(second).is_none());
-    }
-
-    #[test]
-    fn generation_wraps_without_panicking() {
-        let mut phy = phy();
-        let id = phy.alloc_arrival(arrival(1));
-        let (slot, _) = split_arrival_id(id);
-        phy.arrivals.arrivals[slot as usize].generation = u32::MAX;
-        let id = arrival_id(slot, u32::MAX);
-        assert!(phy.take_arrival(id).is_some());
-        assert_eq!(phy.arrivals.arrivals[slot as usize].generation, 0, "wrapping add");
+    fn broadcast_queues_two_events_per_transmission() {
+        let mut phy = phy((0..6).map(|i| Position::new(f64::from(i), 0.0)).collect());
+        let mut queue = EventQueue::with_capacity(4);
+        let airtime = SimDuration::from_micros(40);
+        phy.broadcast(NodeId::new(0), ack(), airtime, &mut queue);
+        let receivers = queue.scheduled_total() / 2;
+        assert!(receivers >= 4, "co-located stations almost always sense the frame");
+        assert_eq!(queue.len(), 2, "one event per cursor, not two per receiver");
+        let (mut started, mut ended) = (0, 0);
+        while let Some((_, event)) = queue.pop() {
+            match event {
+                Event::RxStart { fan } => {
+                    phy.next_arrival(fan, Cursor::Start, &mut queue);
+                    started += 1;
+                }
+                Event::RxEnd { fan } => {
+                    let arrival = phy.next_arrival(fan, Cursor::End, &mut queue);
+                    assert_ne!(arrival.node, NodeId::new(0), "never to the transmitter");
+                    phy.release_fan(fan);
+                    ended += 1;
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!((started, ended), (receivers, receivers));
+        assert_eq!(phy.fans.live(), 0, "the fan-out is freed after its last RxEnd");
     }
 }

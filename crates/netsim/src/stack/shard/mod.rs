@@ -12,10 +12,11 @@
 //! `H = min(T_min + L, segment_end)` is safe to process in parallel — a
 //! frame transmitted at `t ≥ T_min` reaches another shard no earlier than
 //! `t + L ≥ H`, so nothing processed inside the window can be invalidated
-//! by a peer. Boundary-crossing receptions ride `worker::CrossShardArrival`
-//! records to the owner's mailbox at the window barrier, carrying the
-//! transmitter-minted [`EventKey`]s that keep the receiver's pop order
-//! identical to a single-queue run.
+//! by a peer. Boundary-crossing receptions ride `worker::CrossShardFan`
+//! records — one per transmission and receiving shard, holding every
+//! reception of that transmission the shard owns — to the owner's mailbox
+//! at the window barrier, carrying the transmitter-reserved [`EventKey`]s
+//! that keep the receiver's pop order identical to a single-queue run.
 //!
 //! Two degenerate regimes keep the protocol exact instead of approximate:
 //! no sensed cross-shard pair (`L = None`) means shards cannot interact
@@ -62,7 +63,7 @@ use crate::stack::net_layer::NetLayer;
 use crate::stack::phy_io::advance_medium_positions;
 use crate::stack::RunResult;
 use partition::partition_stations;
-use worker::{Command, CrossShardArrival, ShardWorker, WindowReport};
+use worker::{Command, CrossShardFan, ShardWorker, WindowReport};
 
 /// Executes a scenario on `shards` conservative shards and returns the
 /// same [`RunResult`] any other shard count would produce.
@@ -113,7 +114,7 @@ pub(crate) fn run_sharded(scenario: &Scenario, shards: u32) -> RunResult {
     let start = Barrier::new(k + 1);
     let done = Barrier::new(k + 1);
     let command = Mutex::new(Command::Stop);
-    let mailboxes: Vec<Mutex<Vec<CrossShardArrival>>> =
+    let mailboxes: Vec<Mutex<Vec<CrossShardFan>>> =
         (0..k).map(|_| Mutex::new(Vec::new())).collect();
     let reports: Vec<Mutex<WindowReport>> =
         (0..k).map(|_| Mutex::new(WindowReport::default())).collect();
@@ -153,7 +154,7 @@ pub(crate) fn run_sharded(scenario: &Scenario, shards: u32) -> RunResult {
                 *command.lock().expect("command lock poisoned") = cmd;
                 start.wait();
                 done.wait();
-                merge_round(&reports, &mailboxes, &owner, &mut next);
+                merge_round(&reports, &mailboxes, &mut next);
             }
             if seg_end >= eot {
                 break;
@@ -207,7 +208,7 @@ fn worker_loop(
     start: &Barrier,
     done: &Barrier,
     command: &Mutex<Command>,
-    mailbox: &Mutex<Vec<CrossShardArrival>>,
+    mailbox: &Mutex<Vec<CrossShardFan>>,
     report: &Mutex<WindowReport>,
 ) -> ShardWorker {
     loop {
@@ -250,34 +251,33 @@ fn earliest(next: &[Option<(SimTime, EventKey)>]) -> Option<(SimTime, EventKey, 
 }
 
 /// The window-boundary merge: collect every worker's report, route the
-/// boundary-crossing receptions to their owners' mailboxes, and fold them
+/// boundary-crossing fan-outs to their owners' mailboxes, and fold them
 /// into the pending-event view. The cross-shard sort order is cosmetic —
 /// receivers order by `(time, key)` regardless — but it makes mailbox
 /// contents (and any future boundary audit) independent of thread timing.
 fn merge_round(
     reports: &[Mutex<WindowReport>],
-    mailboxes: &[Mutex<Vec<CrossShardArrival>>],
-    owner: &[u32],
+    mailboxes: &[Mutex<Vec<CrossShardFan>>],
     next: &mut [Option<(SimTime, EventKey)>],
 ) {
-    let mut crossing: Vec<CrossShardArrival> = Vec::new();
+    let mut crossing: Vec<CrossShardFan> = Vec::new();
     for (shard, slot) in reports.iter().enumerate() {
         let report = std::mem::take(&mut *slot.lock().expect("report lock poisoned"));
         next[shard] = report.next;
         crossing.extend(report.outbox);
     }
-    crossing.sort_by_key(|e| (e.rx_start, e.src_shard, e.emit_seq));
-    for entry in crossing {
-        let dst = owner[entry.node.index()] as usize;
-        // An injected arrival's RxStart may precede everything the owner
-        // still has queued; the pending view must see it so the next
-        // horizon (and the serial-step argmin) stays conservative. RxEnd
-        // needs no fold: it strictly follows its RxStart.
-        let candidate = Some((entry.rx_start, entry.start_key));
+    crossing.sort_by_key(|fan| (fan.src_shard, fan.emit_seq));
+    for fan in crossing {
+        let dst = fan.dst_shard as usize;
+        // An injected fan-out's first RxStart may precede everything the
+        // owner still has queued; the pending view must see it so the next
+        // horizon (and the serial-step argmin) stays conservative. No RxEnd
+        // needs a fold: each strictly follows its own RxStart.
+        let candidate = Some(fan.first_start());
         if next[dst].is_none() || candidate < next[dst] {
             next[dst] = candidate;
         }
-        mailboxes[dst].lock().expect("mailbox lock poisoned").push(entry);
+        mailboxes[dst].lock().expect("mailbox lock poisoned").push(fan);
     }
 }
 

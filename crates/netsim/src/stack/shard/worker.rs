@@ -13,8 +13,19 @@
 //! perturbs a single random draw. The payoff is that no per-entity state is
 //! ever shared: the only cross-shard channels are the read-locked
 //! [`Medium`]/[`NetLayer`] snapshots (written exclusively by the
-//! coordinator, between windows) and the [`CrossShardArrival`] frames
+//! coordinator, between windows) and the [`CrossShardFan`] records
 //! exchanged at window boundaries.
+//!
+//! # Fan-outs
+//!
+//! A transmission reaches its receivers through fan-outs
+//! ([`FanSlab`]): the transmitting worker plans the receptions once,
+//! reserves the two keys per receiver a per-arrival schedule would have
+//! minted, and groups the receivers by owning shard. Its own group becomes
+//! a local fan-out; every other group travels as one [`CrossShardFan`] and
+//! becomes a fan-out of the receiving shard. Either way a fan-out keeps two
+//! events queued, `RxStart`/`RxEnd` at its cursors' heads, whatever its
+//! number of receivers.
 //!
 //! # Determinism
 //!
@@ -35,14 +46,16 @@ use wmn_mac::frame::{Frame, NetHeader, Packet, Proto, RouteInfo, RxFrame};
 use wmn_mac::{ActionSink, FramePool, MacAction, MacStats, RateClass};
 use wmn_phy::medium::BusyTransition;
 use wmn_phy::{ArrivalOutcome, BerModel, Medium, PhyParams, Receiver, RxPlan};
-use wmn_sim::{EventKey, FlowId, KeyedEventQueue, NodeId, RngDirectory, SimTime, StreamRng};
+use wmn_sim::{
+    EventKey, FlowId, KeyedEventQueue, NodeId, RngDirectory, SimDuration, SimTime, StreamRng,
+};
 use wmn_transport::{TcpAction, TcpSegment, UdpDatagram};
 
 use crate::scenario::{Scenario, Workload};
 use crate::stack::flow_layer::{FlowLayer, FlowRt};
 use crate::stack::mac_engine::MacEngine;
 use crate::stack::net_layer::NetLayer;
-use crate::stack::phy_io::{ArrivalSlab, ArrivalState};
+use crate::stack::phy_io::{Arrival, Cursor, FanEntry, FanOrigin, FanSlab, Head};
 use crate::stack::Event;
 
 /// Key lane for events originated by a station (TxEnd, Rx*, MacTimer).
@@ -51,41 +64,50 @@ const KIND_NODE: u32 = 0;
 /// TcpRto).
 const KIND_FLOW: u32 = 1;
 
-/// A frame crossing the shard boundary: one planned reception whose
-/// receiver lives on another shard. The transmitting worker computes the
-/// full reception plan (times, power, decodability) and mints both event
-/// keys from the transmitter's lane, so the receiving worker schedules the
-/// exact `(time, key)` pair a single-shard run would have used; only the
-/// slab id is local.
-pub(crate) struct CrossShardArrival {
-    /// The receiving station (owned by the target shard).
-    pub(crate) node: NodeId,
-    /// Shared handle to the transmitted frame.
-    pub(crate) frame: Arc<Frame>,
-    /// Whether the arrival is strong enough to decode.
-    pub(crate) decodable: bool,
-    /// Received power in dBm.
-    pub(crate) power_dbm: f64,
-    /// Absolute instant the reception starts.
-    pub(crate) rx_start: SimTime,
-    /// Absolute instant the reception ends.
-    pub(crate) rx_end: SimTime,
-    /// Key of the RxStart event (transmitter's lane).
-    pub(crate) start_key: EventKey,
-    /// Key of the RxEnd event (transmitter's lane).
-    pub(crate) end_key: EventKey,
+/// The key of a reception event: sequence number `seq` of the
+/// transmitter's station lane, one of the block the transmission reserved.
+/// Every RxStart/RxEnd key of either fan-out kind is minted here.
+fn arrival_key(head: Head) -> EventKey {
+    EventKey::new(KIND_NODE, head.from.index() as u32, head.seq)
+}
+
+/// One transmission's receivers on another shard, grouped into one record.
+/// The transmitting worker plans the receptions (times, power,
+/// decodability) and reserves their keys on its own lane, so the receiving
+/// worker schedules the exact `(time, key)` pairs a single-shard run uses;
+/// only the fan-out slot is local.
+pub(crate) struct CrossShardFan {
+    /// The shard owning every receiver of the record.
+    pub(crate) dst_shard: u32,
+    /// The transmission, with its shared frame handle.
+    origin: FanOrigin,
+    /// The receivers, in plan order.
+    entries: Vec<FanEntry>,
     /// The emitting shard, for the boundary merge's audit order.
     pub(crate) src_shard: u32,
     /// The emitting worker's running emission counter, ditto.
     pub(crate) emit_seq: u64,
 }
 
+impl CrossShardFan {
+    /// The `(time, key)` of the record's earliest RxStart — what the
+    /// receiving shard's pending view must see.
+    pub(crate) fn first_start(&self) -> (SimTime, EventKey) {
+        self.entries
+            .iter()
+            .map(|e| e.head(&self.origin, Cursor::Start))
+            .map(|head| (head.at, arrival_key(head)))
+            .min()
+            .expect("a cross-shard fan-out has receivers")
+    }
+}
+
 /// What a worker hands back after each round: the frames it emitted across
 /// the boundary and its next pending `(time, key)`.
 #[derive(Default)]
 pub(crate) struct WindowReport {
-    /// Cross-shard receptions emitted this round.
-    pub(crate) outbox: Vec<CrossShardArrival>,
+    /// Cross-shard fan-outs emitted this round.
+    pub(crate) outbox: Vec<CrossShardFan>,
     /// Earliest pending event after the round, `None` when drained.
     pub(crate) next: Option<(SimTime, EventKey)>,
 }
@@ -121,8 +143,14 @@ pub(crate) struct ShardWorker {
     pub(super) macs: MacEngine,
     pub(super) flows: FlowLayer,
     receivers: Vec<Receiver>,
-    arrivals: ArrivalSlab,
+    /// Fan-outs whose receivers this shard owns (see [`FanSlab`]).
+    fans: FanSlab,
     plan_scratch: Vec<RxPlan>,
+    /// Per-shard buffers a transmission's receivers are grouped into.
+    fill: Vec<Vec<FanEntry>>,
+    /// Empty entry buffers for outgoing [`CrossShardFan`]s, refilled by the
+    /// buffers incoming ones leave behind.
+    spare: Vec<Vec<FanEntry>>,
     ber: BerModel,
     params: PhyParams,
     /// Per-transmitter shadowing streams (`shard/medium/<tx>`); only the
@@ -135,7 +163,7 @@ pub(crate) struct ShardWorker {
     /// Per-flow key counters (lane `KIND_FLOW`), advanced by the source
     /// shard only.
     flow_seq: Vec<u64>,
-    outbox: Vec<CrossShardArrival>,
+    outbox: Vec<CrossShardFan>,
     emit_seq: u64,
     /// Recycler for the transport packet bodies this shard's flows mint
     /// (shard-local, so recycling order stays shard-count-invariant for
@@ -159,6 +187,7 @@ impl ShardWorker {
     ) -> ShardWorker {
         let dir = RngDirectory::new(scenario.seed);
         let n = scenario.positions.len();
+        let shards = owner.iter().max().map_or(1, |&max| max as usize + 1);
         let macs = MacEngine::build(&scenario.scheme, &scenario.params, n, &dir);
         let flows = FlowLayer::build(scenario, &dir);
         let mut flow_seq = vec![0u64; scenario.flows.len()];
@@ -192,8 +221,10 @@ impl ShardWorker {
             macs,
             flows,
             receivers: (0..n).map(|_| Receiver::new()).collect(),
-            arrivals: ArrivalSlab::default(),
+            fans: FanSlab::default(),
             plan_scratch: Vec::new(),
+            fill: vec![Vec::new(); shards],
+            spare: Vec::new(),
             ber: BerModel::new(scenario.params.ber),
             params: scenario.params.clone(),
             medium_rngs: (0..n).map(|i| dir.indexed_stream("shard/medium", i as u32)).collect(),
@@ -211,18 +242,40 @@ impl ShardWorker {
         self.queue.peek()
     }
 
-    /// Parks a boundary-crossing reception in the local slab and schedules
-    /// its RxStart/RxEnd pair under the transmitter-minted keys.
-    pub(crate) fn inject(&mut self, entry: CrossShardArrival) {
-        debug_assert_eq!(self.owner[entry.node.index()], self.shard, "routed to the wrong shard");
-        let id = self.arrivals.alloc(ArrivalState {
-            node: entry.node,
-            frame: entry.frame,
-            decodable: entry.decodable,
-            power_dbm: entry.power_dbm,
-        });
-        self.queue.schedule_keyed(entry.rx_start, entry.start_key, Event::RxStart { arrival: id });
-        self.queue.schedule_keyed(entry.rx_end, entry.end_key, Event::RxEnd { arrival: id });
+    /// Opens a boundary-crossing fan-out locally and schedules its two
+    /// cursors under the transmitter-reserved keys. The buffer the fan-out
+    /// hands back is kept as a spare for this shard's own outgoing records,
+    /// up to one per shard (what one transmission can emit): a shard that
+    /// receives more than it sends drops the rest.
+    pub(crate) fn inject(&mut self, fan: CrossShardFan) {
+        debug_assert_eq!(fan.dst_shard, self.shard, "routed to the wrong shard");
+        let CrossShardFan { origin, mut entries, .. } = fan;
+        debug_assert!(entries.iter().all(|e| self.owner[e.to().index()] == self.shard));
+        self.open_fan(origin, &mut entries);
+        if self.spare.len() < self.fill.len() {
+            self.spare.push(entries);
+        }
+    }
+
+    /// Opens a fan-out over `entries` (swapped for a recycled buffer) and
+    /// schedules both cursors at their first receivers.
+    fn open_fan(&mut self, origin: FanOrigin, entries: &mut Vec<FanEntry>) {
+        if let Some(fan) = self.fans.open(origin, entries) {
+            for cursor in [Cursor::Start, Cursor::End] {
+                let head = self.fans.head(fan, cursor).expect("an open fan-out has receivers");
+                self.queue.schedule_keyed(head.at, arrival_key(head), cursor.event(fan));
+            }
+        }
+    }
+
+    /// Hands out the arrival at `cursor`'s head of fan-out `fan` and
+    /// re-schedules the cursor at its next receiver.
+    fn next_arrival(&mut self, fan: u32, cursor: Cursor) -> Arrival {
+        let (arrival, next) = self.fans.advance(fan, cursor);
+        if let Some(head) = next {
+            self.queue.schedule_keyed(head.at, arrival_key(head), cursor.event(fan));
+        }
+        arrival
     }
 
     /// Processes every owned event strictly before `horizon`.
@@ -262,10 +315,16 @@ impl ShardWorker {
 
     /// Mints the next key on a station's lane.
     fn node_key(&mut self, node: NodeId) -> EventKey {
+        EventKey::new(KIND_NODE, node.index() as u32, self.reserve_node_seqs(node, 1))
+    }
+
+    /// Reserves the next `count` sequence numbers of a station's lane and
+    /// returns the first.
+    fn reserve_node_seqs(&mut self, node: NodeId, count: u64) -> u64 {
         let seq = &mut self.node_seq[node.index()];
-        let key = EventKey::new(KIND_NODE, node.index() as u32, *seq);
-        *seq += 1;
-        key
+        let first = *seq;
+        *seq += count;
+        first
     }
 
     /// Mints the next key on a flow's lane (source shard only).
@@ -297,13 +356,11 @@ impl ShardWorker {
                     self.macs.park_sink(sink);
                 }
             }
-            Event::RxStart { arrival } => {
-                let Some(a) = self.arrivals.peek(arrival) else {
-                    return;
-                };
-                let (node, decodable, power) = (a.node, a.decodable, a.power_dbm);
-                if let Some(BusyTransition::BecameBusy) =
-                    self.receivers[node.index()].on_arrival_start(arrival, decodable, power, now)
+            Event::RxStart { fan } => {
+                let a = self.next_arrival(fan, Cursor::Start);
+                let node = a.node;
+                if let Some(BusyTransition::BecameBusy) = self.receivers[node.index()]
+                    .on_arrival_start(a.id, a.decodable, a.power_dbm, now)
                 {
                     let mut sink = self.macs.take_sink();
                     self.macs.node(node).on_busy(now, &mut sink);
@@ -311,13 +368,10 @@ impl ShardWorker {
                     self.macs.park_sink(sink);
                 }
             }
-            Event::RxEnd { arrival } => {
-                let Some(state) = self.arrivals.take(arrival) else {
-                    return;
-                };
-                let node = state.node;
-                let (outcome, transition) =
-                    self.receivers[node.index()].on_arrival_end(arrival, now);
+            Event::RxEnd { fan } => {
+                let a = self.next_arrival(fan, Cursor::End);
+                let node = a.node;
+                let (outcome, transition) = self.receivers[node.index()].on_arrival_end(a.id, now);
                 // Idle first so relay waits measure from the channel edge.
                 if let Some(BusyTransition::BecameIdle) = transition {
                     let mut sink = self.macs.take_sink();
@@ -325,14 +379,15 @@ impl ShardWorker {
                     self.apply_mac_actions(node, &mut sink);
                     self.macs.park_sink(sink);
                 }
-                if outcome == ArrivalOutcome::Clean && state.decodable {
-                    if let Some(frame) = self.apply_bit_errors(node, &state.frame) {
+                if outcome == ArrivalOutcome::Clean && a.decodable {
+                    if let Some(frame) = self.apply_bit_errors(node, fan) {
                         let mut sink = self.macs.take_sink();
                         self.macs.node(node).on_frame_rx(frame, now, &mut sink);
                         self.apply_mac_actions(node, &mut sink);
                         self.macs.park_sink(sink);
                     }
                 }
+                self.fans.release_if_done(fan);
             }
             Event::MacTimer { node, token } => {
                 let mut sink = self.macs.take_sink();
@@ -359,12 +414,14 @@ impl ShardWorker {
         }
     }
 
-    /// The per-receiver twin of `PhyIo::apply_bit_errors`: the same shared
+    /// The per-receiver twin of `PhyIo::apply_bit_errors`, decoding the
+    /// frame of fan-out `fan` at `rx`: the same shared
     /// [`decode_frame`](crate::stack::decode::decode_frame) seam (so the two
     /// engines cannot drift apart on decode semantics), but consuming the
     /// receiving station's own `shard/ber/<rx>` stream so the draw order is
     /// independent of how other stations' receptions interleave.
-    fn apply_bit_errors(&mut self, rx: NodeId, frame: &Arc<Frame>) -> Option<RxFrame> {
+    fn apply_bit_errors(&mut self, rx: NodeId, fan: u32) -> Option<RxFrame> {
+        let frame = &self.fans.origin(fan).frame;
         crate::stack::decode::decode_frame(&self.ber, &mut self.ber_rngs[rx.index()], frame)
     }
 
@@ -406,47 +463,43 @@ impl ShardWorker {
 
     /// Fans one transmission out: plans receptions under a read-locked
     /// medium snapshot (consuming the transmitter's own shadowing stream,
-    /// station-index order), schedules same-shard arrivals locally, and
-    /// emits boundary-crossing ones to the outbox — keys minted here either
-    /// way, in plan order, so the schedule is identical at any shard count.
-    fn broadcast(&mut self, from: NodeId, frame: Frame, airtime: wmn_sim::SimDuration) {
+    /// station-index order), reserves two keys per receiver on the
+    /// transmitter's lane — the keys a per-arrival schedule mints, in plan
+    /// order, so the schedule is identical at any shard count — and groups
+    /// the receivers by owning shard: this shard's open a local fan-out,
+    /// every other shard's leave in one [`CrossShardFan`] through the
+    /// outbox.
+    fn broadcast(&mut self, from: NodeId, frame: Frame, airtime: SimDuration) {
         let mut plans = std::mem::take(&mut self.plan_scratch);
         {
             let medium = self.medium.read().expect("medium lock poisoned");
             medium.plan_transmission_into(from, &mut self.medium_rngs[from.index()], &mut plans);
         }
-        let now = self.now();
-        let frame = Arc::new(frame);
-        for plan in &plans {
-            let start_key = self.node_key(from);
-            let end_key = self.node_key(from);
-            let (rx_start, rx_end) = (now + plan.delay, now + plan.delay + airtime);
-            if self.owner[plan.to.index()] == self.shard {
-                let id = self.arrivals.alloc(ArrivalState {
-                    node: plan.to,
-                    frame: Arc::clone(&frame),
-                    decodable: plan.decodable,
-                    power_dbm: plan.power_dbm,
-                });
-                self.queue.schedule_keyed(rx_start, start_key, Event::RxStart { arrival: id });
-                self.queue.schedule_keyed(rx_end, end_key, Event::RxEnd { arrival: id });
-            } else {
-                self.outbox.push(CrossShardArrival {
-                    node: plan.to,
-                    frame: Arc::clone(&frame),
-                    decodable: plan.decodable,
-                    power_dbm: plan.power_dbm,
-                    rx_start,
-                    rx_end,
-                    start_key,
-                    end_key,
-                    src_shard: self.shard,
-                    emit_seq: self.emit_seq,
-                });
-                self.emit_seq += 1;
-            }
+        let seq_base = self.reserve_node_seqs(from, 2 * plans.len() as u64);
+        for (i, plan) in plans.iter().enumerate() {
+            self.fill[self.owner[plan.to.index()] as usize].push(FanEntry::new(i, plan));
         }
         self.plan_scratch = plans;
+        let origin =
+            FanOrigin { frame: Arc::new(frame), from, start: self.now(), airtime, seq_base };
+        let local = self.shard as usize;
+        for dst in 0..self.fill.len() {
+            if dst == local || self.fill[dst].is_empty() {
+                continue;
+            }
+            let spare = self.spare.pop().unwrap_or_default();
+            self.outbox.push(CrossShardFan {
+                dst_shard: dst as u32,
+                origin: origin.clone(),
+                entries: std::mem::replace(&mut self.fill[dst], spare),
+                src_shard: self.shard,
+                emit_seq: self.emit_seq,
+            });
+            self.emit_seq += 1;
+        }
+        let mut entries = std::mem::take(&mut self.fill[local]);
+        self.open_fan(origin, &mut entries);
+        self.fill[local] = entries;
     }
 
     fn route(&self, flow: FlowId, node: NodeId, forward: bool) -> Option<RouteInfo> {

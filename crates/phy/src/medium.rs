@@ -157,6 +157,49 @@ fn link_state(params: &PhyParams, z_max: f64, from: Position, to: Position) -> L
     LinkState { distance: d, mean_rx_dbm: mean, delay: params.propagation_delay(d), class }
 }
 
+/// Margin of the planner's per-sample skip, relative to the magnitudes of
+/// the mean power and the carrier-sense threshold: the gap `cs − mean` a
+/// draw must be unable to bridge is shrunk by `SKIP_MARGIN·(|cs| + |mean|)`
+/// first. Each rounding on the way — the bound, the threshold, `ln`,
+/// `sqrt`, `cos` and the final `mean + σ·z` — errs by a few ulps of those
+/// magnitudes (the gap is no larger than their sum), some 10⁴ times less.
+/// A margin relative to the gap alone would not cover the last addition
+/// when the gap is tiny.
+const SKIP_MARGIN: f64 = 1e-12;
+
+/// An upper bound on `−2·ln u1` read off the bits of `u1`, no logarithm
+/// taken. With `u1 = 2^e·(1 + m)` (`m` in `[0, 1)`), `log2(1 + m) ≥ m` —
+/// the chord of a concave function on `[0, 1]` — so
+/// `−2·ln u1 = −2·ln 2·(e + log2(1 + m)) ≤ −2·ln 2·(e + m)`. Exact at the
+/// powers of two, loosest (by about 0.17 in `log2` units) in between.
+///
+/// `u1` must be a normal number in `(0, 1]`, as
+/// [`StreamRng::normal_uniforms`] draws it (`u1 ≥ 2⁻⁵³`).
+fn neg2_ln_upper_bound(u1: f64) -> f64 {
+    debug_assert!((f64::MIN_POSITIVE..=1.0).contains(&u1), "u1 out of range: {u1}");
+    let bits = u1.to_bits();
+    let exponent = ((bits >> 52) & 0x7ff) as i64 - 1023;
+    let fraction = (bits & ((1u64 << 52) - 1)) as f64 * (1.0 / (1u64 << 52) as f64);
+    -2.0 * std::f64::consts::LN_2 * (exponent as f64 + fraction)
+}
+
+/// The planner's per-sample skip rule: whether a shadowing draw whose first
+/// uniform is `u1` provably leaves a pair of mean received power `mean_dbm`
+/// below `cs_dbm`, whatever its second uniform. `inv_sigma` is `1/|σ|`.
+///
+/// The draw's excursion is `|σ·z| ≤ |σ|·sqrt(−2·ln u1)`, so the pair stays
+/// below carrier sense when `−2·ln u1 < t²` with `t = (cs − mean)/|σ| > 0`.
+/// The rule tests [`neg2_ln_upper_bound`] against `t²`, with `t` shrunk by
+/// [`SKIP_MARGIN`], so a skipped draw is one the full Box–Muller evaluation
+/// would have dropped too. A non-positive or NaN `t`
+/// (mean at or above carrier sense, σ = 0, non-finite parameters) never
+/// skips.
+fn cannot_reach_carrier_sense(cs_dbm: f64, mean_dbm: f64, inv_sigma: f64, u1: f64) -> bool {
+    let margin = SKIP_MARGIN * (cs_dbm.abs() + mean_dbm.abs());
+    let reach = (cs_dbm - mean_dbm - margin) * inv_sigma;
+    reach > 0.0 && neg2_ln_upper_bound(u1) < reach * reach
+}
+
 impl Medium {
     /// Creates a medium over the given station placement, precomputing the
     /// per-pair link-state matrix (O(n²) once, instead of per transmission).
@@ -324,7 +367,8 @@ impl Medium {
     /// `None` means no cross-group pair is sensed at all — the groups are
     /// radio-isolated and any horizon is safe.
     ///
-    /// Walks the cached link-state matrix (no trigonometry, no RNG); under
+    /// Walks the cached link-state matrix (no trigonometry, no RNG) unless
+    /// every station is in one group, which answers `None` at once; under
     /// mobility the bound is only valid until the next position update, so
     /// callers re-query after each mobility barrier.
     ///
@@ -334,6 +378,10 @@ impl Medium {
     pub fn min_cross_group_delay(&self, group_of: &[u32]) -> Option<SimDuration> {
         let n = self.positions.len();
         assert_eq!(group_of.len(), n, "one group id per station");
+        // One group (a one-shard run): no pair crosses, so skip the n² walk.
+        if group_of.iter().all(|&g| g == group_of[0]) {
+            return None;
+        }
         let mut min: Option<SimDuration> = None;
         for from in 0..n {
             let row = &self.links[from * n..(from + 1) * n];
@@ -370,6 +418,15 @@ impl Medium {
     /// across both implementations and any future ones held to the same
     /// contract.
     ///
+    /// Two shortcuts skip the transcendental math of a draw without moving
+    /// the stream. A [`LinkClass::NeverSensed`] pair skips every draw. A
+    /// [`LinkClass::Sampled`] pair whose mean lies below carrier sense
+    /// computes `t = (cs − mean)/|σ|` and draws its two uniforms; when a
+    /// bound on `−2·ln u1`, read off the bits of `u1`, is below `t²` (less
+    /// a margin for rounding), no value of the second uniform can lift the
+    /// pair to carrier sense, and the pair is dropped without `ln`, `sqrt`
+    /// or `cos`. Both consume exactly the two raw words a full draw does.
+    ///
     /// [shadowing draw's worth]: wmn_sim::StreamRng::skip_standard_normal
     pub fn plan_transmission_into(
         &self,
@@ -379,6 +436,7 @@ impl Medium {
     ) {
         plans.clear();
         let p = &self.params;
+        let inv_sigma = 1.0 / p.shadowing.sigma_db.abs();
         let n = self.positions.len();
         let row = &self.links[from.index() * n..(from.index() + 1) * n];
         for (idx, link) in row.iter().enumerate() {
@@ -392,7 +450,13 @@ impl Medium {
                     rng.skip_standard_normal();
                 }
                 LinkClass::Sampled => {
-                    let power = link.mean_rx_dbm + p.shadowing.sigma_db * rng.standard_normal();
+                    let (u1, u2) = rng.normal_uniforms();
+                    if cannot_reach_carrier_sense(p.cs_thresh_dbm, link.mean_rx_dbm, inv_sigma, u1)
+                    {
+                        continue;
+                    }
+                    let z = StreamRng::box_muller(u1, u2);
+                    let power = link.mean_rx_dbm + p.shadowing.sigma_db * z;
                     if power < p.cs_thresh_dbm {
                         continue;
                     }
@@ -510,7 +574,9 @@ impl Receiver {
         self.idle_since
     }
 
-    /// Registers the start of a sensed arrival.
+    /// Registers the start of a sensed arrival under `id`, which must not
+    /// name another arrival still live at this receiver (debug builds
+    /// assert it).
     ///
     /// An arrival that begins while another reception is in progress is
     /// itself lost; the reception in progress survives only if it is at
@@ -524,6 +590,10 @@ impl Receiver {
         power_dbm: f64,
         _now: SimTime,
     ) -> Option<BusyTransition> {
+        debug_assert!(
+            self.arrivals.iter().all(|a| a.id != id),
+            "arrival id {id:#x} is already live at this receiver"
+        );
         let was_busy = self.is_busy();
         let mut corrupted = self.transmitting;
         if !self.arrivals.is_empty() {
@@ -785,6 +855,97 @@ mod tests {
         assert_eq!(medium.min_cross_group_delay(&[0, 0, 0, 0]), None);
         // Only the isolated station across the cut: nothing is sensed.
         assert_eq!(medium.min_cross_group_delay(&[0, 0, 0, 1]), None);
+    }
+
+    #[test]
+    fn min_cross_group_delay_of_one_group_is_none_at_any_size() {
+        use crate::params::PhyParams;
+        // Co-located stations: every pair is sensed at zero delay, so a
+        // walk over the matrix with any cut would answer Some(0). One group
+        // must answer None without it, from zero stations up.
+        for n in [0usize, 1, 2, 9] {
+            let medium = Medium::new(PhyParams::paper_216(), vec![Position::new(0.0, 0.0); n]);
+            assert_eq!(medium.min_cross_group_delay(&vec![3; n]), None, "{n} stations");
+            if n >= 2 {
+                let mut groups = vec![3; n];
+                groups[n - 1] = 4;
+                assert_eq!(medium.min_cross_group_delay(&groups), Some(SimDuration::ZERO));
+            }
+        }
+    }
+
+    /// `u1 = 2^-k` for k = 0…53 and the floats either side of each, kept
+    /// inside the `[2⁻⁵³, 1]` range `normal_uniforms` draws from.
+    fn powers_of_two_and_neighbours() -> Vec<f64> {
+        let mut u1s = Vec::new();
+        for k in 0..=53 {
+            let bits = (1.0f64 / (1u64 << k) as f64).to_bits();
+            for b in [bits - 1, bits, bits + 1] {
+                let u1 = f64::from_bits(b);
+                if (1.0 / (1u64 << 53) as f64..=1.0).contains(&u1) {
+                    u1s.push(u1);
+                }
+            }
+        }
+        u1s
+    }
+
+    #[test]
+    fn neg2_ln_upper_bound_bounds_the_logarithm() {
+        for u1 in powers_of_two_and_neighbours() {
+            let exact = -2.0 * u1.ln();
+            let bound = neg2_ln_upper_bound(u1);
+            assert!(bound >= exact * (1.0 - 1e-15), "u1 = {u1:e}: bound {bound} < {exact}");
+            // The chord is exact at the powers of two and loose by at most
+            // 2·ln 2·0.0861 (the chord's largest gap to log2) elsewhere.
+            assert!(bound - exact <= 2.0 * std::f64::consts::LN_2 * 0.0861 + 1e-12);
+        }
+        let mut rng = StreamRng::derive(31, "chord");
+        for _ in 0..100_000 {
+            let (u1, _) = rng.normal_uniforms();
+            assert!(neg2_ln_upper_bound(u1) >= -2.0 * u1.ln() * (1.0 - 1e-15));
+        }
+    }
+
+    /// Soundness of the per-sample skip: at every `u1 = 2^-k` and its
+    /// neighbours, with the second uniform at the largest `|z|` (`u2 = 0`,
+    /// or `u2 = ½` for a negative σ), a skipped draw is one whose full
+    /// Box–Muller power lies below carrier sense. Each pair's mean is set so
+    /// that its threshold `t²` straddles `−2·ln u1` by relative offsets
+    /// down to 1e-15, and the skip must fire somewhere (the test is not
+    /// vacuous).
+    #[test]
+    fn shadowing_skip_is_sound_at_powers_of_two() {
+        let offsets = [-1e-3, -1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.2];
+        let mut skipped = 0;
+        for sigma in [8.0, -8.0, 1e-3, 1e-9, 37.5] {
+            for cs in [-78.0, -70.0, 0.0, 1e3] {
+                for u1 in powers_of_two_and_neighbours() {
+                    let radius = (-2.0 * u1.ln()).sqrt();
+                    let u2 = if sigma < 0.0 { 0.5 } else { 0.0 };
+                    let inv_sigma = 1.0 / f64::abs(sigma);
+                    for offset in offsets {
+                        let mean = cs - f64::abs(sigma) * radius * (1.0 + offset);
+                        if !cannot_reach_carrier_sense(cs, mean, inv_sigma, u1) {
+                            continue;
+                        }
+                        skipped += 1;
+                        let power = mean + sigma * StreamRng::box_muller(u1, u2);
+                        assert!(
+                            power < cs,
+                            "σ {sigma}, cs {cs}, u1 {u1:e}, offset {offset}: skipped a \
+                             draw reaching {power} dBm"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(skipped > 1000, "only {skipped} skips: the rule never fires");
+        // A mean at or above carrier sense, and σ = 0 or NaN, never skip.
+        assert!(!cannot_reach_carrier_sense(-78.0, -78.0, 1.0 / 8.0, 1.0));
+        assert!(!cannot_reach_carrier_sense(-78.0, -60.0, 1.0 / 8.0, 1.0));
+        assert!(!cannot_reach_carrier_sense(-78.0, -78.0, f64::INFINITY, 1.0));
+        assert!(!cannot_reach_carrier_sense(-78.0, -90.0, f64::NAN, 1.0));
     }
 
     #[test]
@@ -1064,17 +1225,61 @@ mod tests {
         /// same RNG stream position afterwards, across random topologies,
         /// seeds, and transmitters. This is the determinism contract every
         /// future planner optimisation must keep.
+        ///
+        /// Each case also picks a regime that stresses the per-sample skip:
+        /// the paper's parameters over 400 m, a tiny σ, carrier sense above
+        /// the receive threshold, stations straddling the carrier-sense
+        /// distance (where `t` is near zero), and a 60 m campus-like square
+        /// (no pair `NeverSensed`, most of them skippable).
         #[test]
         fn prop_cached_planner_matches_naive_bit_for_bit(
             seed in proptest::num::u64::ANY,
             coords in proptest::collection::vec((0.0f64..400.0, 0.0f64..400.0), 2..16),
             from_pick in 0usize..16,
+            regime in 0u32..5,
         ) {
             use crate::params::PhyParams;
-            let positions: Vec<Position> =
+            let mut params = PhyParams::paper_216();
+            let mut positions: Vec<Position> =
                 coords.iter().map(|&(x, y)| Position::new(x, y)).collect();
+            match regime {
+                1 => params.shadowing.sigma_db = [1e-9, 1e-3, 0.25][seed as usize % 3],
+                2 => {
+                    params.rx_thresh_dbm = -80.0;
+                    params.cs_thresh_dbm = -70.0;
+                }
+                3 => {
+                    // Distance at which the mean power equals carrier sense.
+                    let sh = &params.shadowing;
+                    let d_cs = sh.reference_distance
+                        * 10f64.powf(
+                            (params.tx_power_dbm - sh.pl_at_reference_db - params.cs_thresh_dbm)
+                                / (10.0 * sh.path_loss_exponent),
+                        );
+                    prop_assert!((params.shadowing.mean_rx_dbm(params.tx_power_dbm, d_cs)
+                        - params.cs_thresh_dbm)
+                        .abs()
+                        < 1e-9);
+                    // Station 0 at the origin, the rest on rays within ±2 %
+                    // (x scaled into [0.98, 1.02]) of d_cs.
+                    for (i, (x, y)) in coords.iter().enumerate().skip(1) {
+                        let r = d_cs * (0.98 + 0.04 * x / 400.0);
+                        let angle = y / 400.0 * std::f64::consts::TAU;
+                        positions[i] = Position::new(r * angle.cos(), r * angle.sin());
+                    }
+                    positions[0] = Position::new(0.0, 0.0);
+                }
+                4 => {
+                    for p in &mut positions {
+                        *p = Position::new(p.x * 0.15, p.y * 0.15);
+                    }
+                }
+                _ => {}
+            }
+            // The straddling regime transmits from its centre station.
+            let from_pick = if regime == 3 { 0 } else { from_pick };
             let from = NodeId::new((from_pick % positions.len()) as u32);
-            let medium = Medium::new(PhyParams::paper_216(), positions);
+            let medium = Medium::new(params, positions);
             let mut rng_cached = StreamRng::derive(seed, "pin");
             let mut rng_naive = StreamRng::derive(seed, "pin");
             for _ in 0..8 {

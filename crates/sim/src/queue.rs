@@ -9,6 +9,64 @@ use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
+/// A max-heap whose greatest entry may wait in a slot in front of it.
+///
+/// Both queues pop through this. A fan-out cursor pops, hands out one
+/// receiver and re-schedules itself at the next receiver, nanoseconds later
+/// and so again the earliest pending event; a plain heap pays a sift to the
+/// root for that push and a sift to the bottom for the following pop. Here
+/// an entry greater than everything queued goes to the front slot instead,
+/// and the next pop takes it back, both in constant time.
+///
+/// Invariant: a front entry is greater than every entry in the heap, so
+/// entries with distinct keys pop in exactly the order a plain heap pops
+/// them. An entry equal to the heap's top goes into the heap, which keeps a
+/// run of equal-key entries (a broken key contract) in the plain heap's
+/// insertion-determined order.
+#[derive(Debug)]
+struct FrontHeap<T> {
+    heap: BinaryHeap<T>,
+    front: Option<T>,
+}
+
+impl<T: Ord> FrontHeap<T> {
+    fn with_capacity(capacity: usize) -> Self {
+        FrontHeap { heap: BinaryHeap::with_capacity(capacity), front: None }
+    }
+
+    fn push(&mut self, item: T) {
+        match &mut self.front {
+            Some(front) if item > *front => {
+                let displaced = std::mem::replace(front, item);
+                self.heap.push(displaced);
+            }
+            Some(_) => self.heap.push(item),
+            None if self.heap.peek().is_some_and(|top| item > *top) => self.front = Some(item),
+            None => self.heap.push(item),
+        }
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        self.front.take().or_else(|| self.heap.pop())
+    }
+
+    fn peek(&self) -> Option<&T> {
+        self.front.as_ref().or_else(|| self.heap.peek())
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len() + usize::from(self.front.is_some())
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        self.heap.reserve(additional);
+    }
+
+    fn capacity(&self) -> usize {
+        self.heap.capacity()
+    }
+}
+
 /// A deterministic discrete-event queue.
 ///
 /// Events of type `E` are scheduled at absolute [`SimTime`] instants and
@@ -30,7 +88,7 @@ use crate::time::{SimDuration, SimTime};
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: FrontHeap<Entry<E>>,
     next_seq: u64,
     now: SimTime,
 }
@@ -75,7 +133,7 @@ impl<E> EventQueue<E> {
     /// initial schedule size (pre-computed departure times, per-flow start
     /// events) use this to avoid growth reallocations in the hot loop.
     pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue { heap: BinaryHeap::with_capacity(capacity), next_seq: 0, now: SimTime::ZERO }
+        EventQueue { heap: FrontHeap::with_capacity(capacity), next_seq: 0, now: SimTime::ZERO }
     }
 
     /// Schedules `event` to fire at the absolute instant `at`.
@@ -99,6 +157,32 @@ impl<E> EventQueue<E> {
             "schedule_in overflows SimTime: now + {delay:?} wraps past SimTime::MAX",
         );
         self.schedule(self.now + delay, event);
+    }
+
+    /// Reserves `count` consecutive insertion sequence numbers and returns
+    /// the first. Events later scheduled under them with
+    /// [`EventQueue::schedule_reserved`] tie-break exactly as if they had
+    /// been scheduled, in sequence order, at the moment of the reservation.
+    ///
+    /// This is what lets a fan-out keep one pending event per cursor instead
+    /// of one per receiver: a transmission reserves the numbers its
+    /// per-receiver events would have taken, and each cursor re-schedules
+    /// itself under the number of its next receiver, so the pop order is
+    /// unchanged.
+    pub fn reserve_seqs(&mut self, count: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += count;
+        first
+    }
+
+    /// Schedules `event` at the absolute instant `at` under a sequence
+    /// number previously handed out by [`EventQueue::reserve_seqs`].
+    ///
+    /// The caller keeps each reserved number for at most one pending event;
+    /// debug builds assert the number was reserved.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+        debug_assert!(seq < self.next_seq, "sequence number {seq} was never reserved");
+        self.heap.push(Entry { at, seq, event });
     }
 
     /// Reserves room for at least `additional` more pending events.
@@ -156,17 +240,18 @@ impl<E> EventQueue<E> {
         self.heap.len()
     }
 
-    /// Total events ever scheduled on this queue (the next tie-break
-    /// sequence number). Monotone over the queue's lifetime — it never
-    /// resets on pops — which is what keeps FIFO order stable when
-    /// schedules and pops interleave at one instant.
+    /// Total sequence numbers ever handed out on this queue, by scheduling
+    /// or by [`EventQueue::reserve_seqs`] (the next tie-break sequence
+    /// number). Monotone over the queue's lifetime — it never resets on
+    /// pops — which is what keeps FIFO order stable when schedules and pops
+    /// interleave at one instant.
     pub fn scheduled_total(&self) -> u64 {
         self.next_seq
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.len() == 0
     }
 }
 
@@ -216,7 +301,7 @@ impl EventKey {
 /// single-shard run.
 #[derive(Debug)]
 pub struct KeyedEventQueue<E> {
-    heap: BinaryHeap<KeyedEntry<E>>,
+    heap: FrontHeap<KeyedEntry<E>>,
     now: SimTime,
 }
 
@@ -256,7 +341,7 @@ impl<E> KeyedEventQueue<E> {
     /// owns none of them (all flows live elsewhere) would otherwise start at
     /// zero capacity and pay its first growth reallocation mid-window.
     pub fn with_capacity(capacity: usize) -> Self {
-        KeyedEventQueue { heap: BinaryHeap::with_capacity(capacity.max(1)), now: SimTime::ZERO }
+        KeyedEventQueue { heap: FrontHeap::with_capacity(capacity.max(1)), now: SimTime::ZERO }
     }
 
     /// Schedules `event` at the absolute instant `at` under `key`.
@@ -323,7 +408,7 @@ impl<E> KeyedEventQueue<E> {
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.len() == 0
     }
 }
 
@@ -593,7 +678,311 @@ mod tests {
         assert_eq!(q.now(), SimTime::from_nanos(3));
     }
 
+    #[test]
+    fn reserved_seqs_tie_break_as_if_scheduled_at_reservation() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(2);
+        q.schedule(t, "before");
+        let base = q.reserve_seqs(2);
+        q.schedule(t, "after");
+        assert_eq!(q.scheduled_total(), 4, "reserved numbers count as handed out");
+        // Scheduled late and out of order, the reserved pair still sorts
+        // between the events around its reservation.
+        q.schedule_reserved(t, base + 1, "reserved#1");
+        q.schedule_reserved(t, base, "reserved#0");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["before", "reserved#0", "reserved#1", "after"]);
+        assert_eq!(q.reserve_seqs(0), 4, "an empty reservation hands out nothing");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "never reserved")]
+    fn scheduling_under_an_unreserved_seq_is_caught_in_debug() {
+        let mut q = EventQueue::new();
+        q.schedule_reserved(SimTime::ZERO, 0, ());
+    }
+
+    /// What the pop-order oracle records: the logical event, whichever way
+    /// it was scheduled.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Logical {
+        /// An event unrelated to any fan-out.
+        Other(u32),
+        /// Receiver `i` (plan index) of transmission `tx` starts (`end =
+        /// false`) or ends (`end = true`) its arrival.
+        Rx { tx: u32, i: u32, end: bool },
+    }
+
+    /// One scripted reaction to a pop: a transmission (a TxEnd-like event,
+    /// then a fan-out over `delays` in plan order) or an unrelated event.
+    #[derive(Clone, Debug)]
+    struct Step {
+        transmit: bool,
+        /// Station lane of the keyed variant (transmitter, or the lane an
+        /// unrelated event is minted on).
+        station: u32,
+        /// Unrelated events on a flow lane instead of a station lane.
+        flow_lane: bool,
+        /// Airtime of a transmission, or the delay of an unrelated event.
+        after: u64,
+        delays: Vec<u64>,
+    }
+
+    /// The generated form of a [`Step`] (the vendored proptest has no
+    /// `prop_map` and no tuples wider than four): `lane` 0–2 is a station,
+    /// 3–5 the same station with unrelated events on the flow lane.
+    type RawStep = (bool, u32, u64, Vec<u64>);
+
+    fn steps(raw: Vec<RawStep>) -> Vec<Step> {
+        raw.into_iter()
+            .map(|(transmit, lane, after, delays)| Step {
+                transmit,
+                station: lane % 3,
+                flow_lane: lane >= 3,
+                after,
+                delays,
+            })
+            .collect()
+    }
+
+    /// A fan-out's sorted cursors: plan indices sorted by `(delay, index)`
+    /// and one position per lane (0 = start, 1 = end).
+    struct Cursors {
+        tx: u32,
+        start: SimTime,
+        airtime: u64,
+        delays: Vec<u64>,
+        order: Vec<u32>,
+        base: u64,
+        station: u32,
+        next: [usize; 2],
+    }
+
+    impl Cursors {
+        /// The head of a lane: its instant, its sequence number and the
+        /// plan index, or `None` once the lane is done.
+        fn head(&self, lane: usize) -> Option<(SimTime, u64, u32)> {
+            let i = *self.order.get(self.next[lane])?;
+            let at = self.start.as_nanos() + self.delays[i as usize] + lane as u64 * self.airtime;
+            Some((SimTime::from_nanos(at), self.base + 2 * u64::from(i) + lane as u64, i))
+        }
+    }
+
+    #[derive(Debug)]
+    enum Ev {
+        Plain(Logical),
+        Cursor { fan: usize, lane: usize },
+    }
+
+    /// Both queues behind one interface: `mint` schedules the ordinary way
+    /// (insertion order, or the next key of a lane), `reserve` hands out a
+    /// block of sequence numbers on a station lane and `reserved` schedules
+    /// under one of them.
+    trait OracleQueue {
+        fn now(&self) -> SimTime;
+        fn pop(&mut self) -> Option<(SimTime, Ev)>;
+        /// `station: None` mints on the flow lane.
+        fn mint(&mut self, at: SimTime, station: Option<u32>, ev: Ev);
+        fn reserve(&mut self, station: u32, count: u64) -> u64;
+        fn reserved(&mut self, at: SimTime, station: u32, seq: u64, ev: Ev);
+    }
+
+    impl OracleQueue for EventQueue<Ev> {
+        fn now(&self) -> SimTime {
+            EventQueue::now(self)
+        }
+        fn pop(&mut self) -> Option<(SimTime, Ev)> {
+            EventQueue::pop(self)
+        }
+        fn mint(&mut self, at: SimTime, _: Option<u32>, ev: Ev) {
+            self.schedule(at, ev);
+        }
+        fn reserve(&mut self, _: u32, count: u64) -> u64 {
+            self.reserve_seqs(count)
+        }
+        fn reserved(&mut self, at: SimTime, _: u32, seq: u64, ev: Ev) {
+            self.schedule_reserved(at, seq, ev);
+        }
+    }
+
+    /// A keyed queue with three station lanes and one flow lane.
+    struct Keyed {
+        q: KeyedEventQueue<Ev>,
+        node_seq: [u64; 3],
+        flow_seq: u64,
+    }
+
+    impl OracleQueue for Keyed {
+        fn now(&self) -> SimTime {
+            self.q.now()
+        }
+        fn pop(&mut self) -> Option<(SimTime, Ev)> {
+            self.q.pop()
+        }
+        fn mint(&mut self, at: SimTime, station: Option<u32>, ev: Ev) {
+            let key = match station {
+                Some(s) => EventKey::new(0, s, self.reserve(s, 1)),
+                None => {
+                    self.flow_seq += 1;
+                    EventKey::new(1, 0, self.flow_seq)
+                }
+            };
+            self.q.schedule_keyed(at, key, ev);
+        }
+        fn reserve(&mut self, station: u32, count: u64) -> u64 {
+            let first = self.node_seq[station as usize];
+            self.node_seq[station as usize] += count;
+            first
+        }
+        fn reserved(&mut self, at: SimTime, station: u32, seq: u64, ev: Ev) {
+            self.q.schedule_keyed(at, EventKey::new(0, station, seq), ev);
+        }
+    }
+
+    /// Runs `script` on `q`: the first three steps at time zero, then one
+    /// step after every pop (mid-drain scheduling). `cursors` selects how a
+    /// fan-out is scheduled: every arrival on its own, or two sorted
+    /// cursors under a reserved block of sequence numbers.
+    fn drain(mut q: impl OracleQueue, script: &[Step], cursors: bool) -> Vec<(SimTime, Logical)> {
+        let mut fans: Vec<Cursors> = Vec::new();
+        let apply = |q: &mut dyn OracleQueue, fans: &mut Vec<Cursors>, k: usize| {
+            let step = &script[k];
+            let (now, s, tx) = (q.now(), step.station, k as u32);
+            let after = SimDuration::from_nanos(step.after);
+            let lane = (step.transmit || !step.flow_lane).then_some(s);
+            q.mint(now + after, lane, Ev::Plain(Logical::Other(tx)));
+            if !step.transmit {
+                return;
+            }
+            if !cursors {
+                for (i, &d) in step.delays.iter().enumerate() {
+                    let (i, d) = (i as u32, SimDuration::from_nanos(d));
+                    q.mint(now + d, Some(s), Ev::Plain(Logical::Rx { tx, i, end: false }));
+                    q.mint(now + d + after, Some(s), Ev::Plain(Logical::Rx { tx, i, end: true }));
+                }
+                return;
+            }
+            let mut order: Vec<u32> = (0..step.delays.len() as u32).collect();
+            order.sort_by_key(|&i| (step.delays[i as usize], i));
+            let base = q.reserve(s, 2 * order.len() as u64);
+            let fan = Cursors {
+                tx,
+                start: now,
+                airtime: step.after,
+                delays: step.delays.clone(),
+                order,
+                base,
+                station: s,
+                next: [0, 0],
+            };
+            for lane in 0..2 {
+                if let Some((at, seq, _)) = fan.head(lane) {
+                    q.reserved(at, s, seq, Ev::Cursor { fan: fans.len(), lane });
+                }
+            }
+            fans.push(fan);
+        };
+        let seeded = script.len().min(3);
+        for k in 0..seeded {
+            apply(&mut q, &mut fans, k);
+        }
+        let (mut next_step, mut popped) = (seeded, Vec::new());
+        while let Some((t, ev)) = q.pop() {
+            let logical = match ev {
+                Ev::Plain(logical) => logical,
+                Ev::Cursor { fan: index, lane } => {
+                    let fan = &mut fans[index];
+                    let (_, _, i) = fan.head(lane).expect("a scheduled cursor has a head");
+                    fan.next[lane] += 1;
+                    if let Some((at, seq, _)) = fan.head(lane) {
+                        q.reserved(at, fan.station, seq, Ev::Cursor { fan: index, lane });
+                    }
+                    Logical::Rx { tx: fan.tx, i, end: lane == 1 }
+                }
+            };
+            popped.push((t, logical));
+            if next_step < script.len() {
+                apply(&mut q, &mut fans, next_step);
+                next_step += 1;
+            }
+        }
+        popped
+    }
+
+    fn keyed() -> Keyed {
+        Keyed { q: KeyedEventQueue::with_capacity(8), node_seq: [0; 3], flow_seq: 0 }
+    }
+
+    /// Events the script schedules in total: one per step plus two per
+    /// receiver of each transmission.
+    fn scripted_events(script: &[Step]) -> usize {
+        script.iter().map(|s| 1 + if s.transmit { 2 * s.delays.len() } else { 0 }).sum()
+    }
+
     proptest! {
+        /// The front slot is invisible: any interleaving of pushes and pops
+        /// of distinct entries pops exactly what a plain binary heap pops.
+        /// Keys from 48 up exceed most of what is queued, so the front slot
+        /// is filled, displaced and drained throughout.
+        #[test]
+        fn prop_front_heap_pops_like_a_binary_heap(
+            ops in proptest::collection::vec((0u64..64, any::<bool>()), 1..200),
+        ) {
+            let mut front = FrontHeap::with_capacity(0);
+            let mut plain = BinaryHeap::new();
+            for (i, &(key, pop)) in ops.iter().enumerate() {
+                if pop {
+                    prop_assert_eq!(front.pop(), plain.pop());
+                } else {
+                    front.push((key, i));
+                    plain.push((key, i));
+                }
+                prop_assert_eq!(front.len(), plain.len());
+                prop_assert_eq!(front.peek(), plain.peek());
+            }
+            while let Some(item) = plain.pop() {
+                prop_assert_eq!(front.pop(), Some(item));
+            }
+            prop_assert_eq!(front.pop(), None);
+        }
+
+        /// The fan-out oracle on the insertion-ordered queue: scheduling
+        /// every arrival individually, and scheduling two sorted cursors
+        /// per transmission under the reserved sequence numbers, pop the
+        /// identical `(time, event)` sequence — across interleaved
+        /// transmissions, equal delays, equal-instant ties with unrelated
+        /// events, and events scheduled mid-drain.
+        #[test]
+        fn prop_fifo_cursors_pop_like_individual_arrivals(
+            raw in proptest::collection::vec(
+                (any::<bool>(), 0u32..6, 0u64..4, proptest::collection::vec(0u64..4, 0..7)),
+                1..24,
+            ),
+        ) {
+            let script = steps(raw);
+            let individual = drain(EventQueue::new(), &script, false);
+            let cursors = drain(EventQueue::new(), &script, true);
+            prop_assert_eq!(individual.len(), scripted_events(&script));
+            prop_assert_eq!(individual, cursors);
+        }
+
+        /// The same oracle on the keyed queue, with per-station key lanes
+        /// and a flow lane for unrelated events.
+        #[test]
+        fn prop_keyed_cursors_pop_like_individual_arrivals(
+            raw in proptest::collection::vec(
+                (any::<bool>(), 0u32..6, 0u64..4, proptest::collection::vec(0u64..4, 0..7)),
+                1..24,
+            ),
+        ) {
+            let script = steps(raw);
+            let individual = drain(keyed(), &script, false);
+            let cursors = drain(keyed(), &script, true);
+            prop_assert_eq!(individual.len(), scripted_events(&script));
+            prop_assert_eq!(individual, cursors);
+        }
+
         /// Keyed pop order is a pure function of the entry *set*: any
         /// permutation of the same `(time, key)` entries pops identically —
         /// the K-invariance property the sharded engine is built on.

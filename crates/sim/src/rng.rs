@@ -113,18 +113,43 @@ impl StreamRng {
         scale / u.powf(1.0 / shape)
     }
 
-    /// Standard normal variate (Box–Muller), for log-normal shadowing draws.
+    /// Standard normal variate (Box–Muller), for log-normal shadowing draws:
+    /// exactly `box_muller(normal_uniforms())`, bit for bit.
     ///
     /// Consumes exactly two raw words per call (see
     /// [`StreamRng::skip_standard_normal`]), and — because `u1` is at least
     /// 2⁻⁵³ — the variate is hard-bounded by
-    /// `±sqrt(-2·ln(2⁻⁵³)) ≈ ±8.5716`. Callers that can prove a sample
-    /// irrelevant from that bound may skip the transcendental math without
-    /// perturbing the stream.
+    /// `±sqrt(-2·ln(2⁻⁵³)) ≈ ±8.5716`. Callers may skip the transcendental
+    /// math without perturbing the stream in two ways:
+    ///
+    /// * when that hard bound already proves every sample irrelevant, by
+    ///   [`StreamRng::skip_standard_normal`];
+    /// * per sample, by drawing the two uniforms with
+    ///   [`StreamRng::normal_uniforms`], bounding `|z| ≤ sqrt(-2·ln u1)`
+    ///   from `u1` alone, and calling [`StreamRng::box_muller`] only when
+    ///   the bound cannot rule the sample out. The medium's planner skips a
+    ///   shadowing draw this way when even `|z| = sqrt(-2·ln u1)` cannot
+    ///   lift the pair to carrier sense.
+    ///
+    /// Either way the stream is consumed exactly as by this call.
     pub fn standard_normal(&mut self) -> f64 {
-        // Box–Muller transform; one variate per call keeps the stream simple.
+        let (u1, u2) = self.normal_uniforms();
+        Self::box_muller(u1, u2)
+    }
+
+    /// The two uniforms one [`StreamRng::standard_normal`] call draws, in
+    /// its order: `u1` in `[2⁻⁵³, 1]` (never zero, so `ln u1` is finite),
+    /// then `u2` in `[0, 1)`. Consumes exactly two raw words.
+    pub fn normal_uniforms(&mut self) -> (f64, f64) {
         let u1: f64 = 1.0 - self.uniform(); // in (0,1], avoids ln(0)
         let u2: f64 = self.uniform();
+        (u1, u2)
+    }
+
+    /// The Box–Muller transform of [`StreamRng::normal_uniforms`]' pair:
+    /// `sqrt(-2·ln u1)·cos(2π·u2)`. One variate per pair keeps the stream
+    /// simple; its magnitude is at most `sqrt(-2·ln u1)`.
+    pub fn box_muller(u1: f64, u2: f64) -> f64 {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
@@ -135,7 +160,9 @@ impl StreamRng {
     /// Hot paths use this when the sample provably cannot matter (e.g. a
     /// link whose maximum possible shadowing excursion still leaves it below
     /// carrier sense) while staying bit-compatible with code that samples:
-    /// every later draw sees the identical stream position.
+    /// every later draw sees the identical stream position. A per-sample
+    /// skip draws [`StreamRng::normal_uniforms`] instead (see
+    /// [`StreamRng::standard_normal`]), which consumes the same two words.
     pub fn skip_standard_normal(&mut self) {
         self.next_u64();
         self.next_u64();
@@ -284,6 +311,20 @@ mod tests {
             skipped.skip_standard_normal();
             assert_eq!(sampled.next_u64(), skipped.next_u64());
         }
+    }
+
+    #[test]
+    fn split_box_muller_matches_standard_normal_bit_for_bit() {
+        let mut whole = StreamRng::derive(29, "split");
+        let mut split = StreamRng::derive(29, "split");
+        for _ in 0..4096 {
+            let (u1, u2) = split.normal_uniforms();
+            assert!(u1 > 0.0 && u1 <= 1.0 && (0.0..1.0).contains(&u2));
+            let z = whole.standard_normal();
+            assert_eq!(z.to_bits(), StreamRng::box_muller(u1, u2).to_bits());
+            assert!(z.abs() <= (-2.0 * u1.ln()).sqrt(), "|z| is bounded by the radius");
+        }
+        assert_eq!(whole.next_u64(), split.next_u64(), "same stream consumption");
     }
 
     #[test]
